@@ -314,7 +314,9 @@ def cmd_transform(args) -> int:
 
     if args.method == "oracle":
         result = spectral_power_exact(matrix, exponent.power)
-        diag_payload = {"iterations": None, "alpha": None, "beta": None, "residuals": []}
+        diag_payload = {
+            "iterations": None, "alpha": None, "beta": None, "residuals": [], "pass_residuals": [],
+        }
     else:
         result, diag = spectral_transform(
             matrix, exponent, iters=args.iters, zero_method=args.zero_method
@@ -324,6 +326,7 @@ def cmd_transform(args) -> int:
             "alpha": diag.scale_alpha,
             "beta": diag.scale_beta,
             "residuals": list(diag.residual_per_iter),
+            "pass_residuals": list(diag.pass_residuals),
         }
     write_matrix(args.output, result)
     sidecar = {
@@ -501,7 +504,8 @@ def main(argv=None) -> int:
             print(
                 f"iterations={diagnostics.iterations_run} "
                 f"alpha={diagnostics.scale_alpha!r} "
-                f"residuals={[f'{r:.3e}' for r in diagnostics.residual_per_iter]}",
+                f"residuals={[f'{r:.3e}' for r in diagnostics.residual_per_iter]} "
+                f"pass_residuals={[f'{r:.3e}' for r in diagnostics.pass_residuals]}",
                 file=sys.stderr,
             )
         return EXIT_DIVERGED

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dense import Matrix, frobenius_norm
+from .dense import Matrix, frobenius_norm, gram
 from .errors import (
     DegenerateInputError,
     KernelDivergenceError,
@@ -109,13 +109,18 @@ class KernelDiagnostics:
     the second-pass normalizer of the quarter root when one ran.
     residual_per_iter holds one entry per iteration actually performed:
     ||Z_k Y_k - I||_F for coupled runs and the orthogonality defect
-    ||P_k^T P_k - I||_F for polar runs.
+    ||P_k^T P_k - I||_F for polar runs. pass_residuals holds the final
+    ||Z Y - I||_F of each coupled pass in order (one for the cubic polar and
+    the square root, two per half transform, none for the quintic), so a
+    pass that stopped short of convergence shows even when a later pass
+    ends with a small residual.
     """
 
     iterations_run: int
     scale_alpha: float
     scale_beta: float | None = None
     residual_per_iter: list[float] = field(default_factory=list)
+    pass_residuals: list[float] = field(default_factory=list)
 
 
 def _validate_input(m, name: str = "input") -> np.ndarray:
@@ -193,8 +198,7 @@ def polar_cubic(m: Matrix, iters: int = DEFAULT_CUBIC_ITERS) -> tuple[Matrix, Ke
     work = a_in.T if transposed else a_in
     if float(np.linalg.norm(work)) == 0.0:
         raise DegenerateInputError("zero matrix has no polar factor")
-    x = work.T @ work
-    x = 0.5 * (x + x.T)
+    x = gram(work)
     try:
         _, z, xnorm, residuals, updates = _coupled_core(x, iters, _CUBIC_EXIT, "cubic polar")
     except KernelDivergenceError as exc:
@@ -202,7 +206,7 @@ def polar_cubic(m: Matrix, iters: int = DEFAULT_CUBIC_ITERS) -> tuple[Matrix, Ke
             # Cubic diagnostics report the multiplier applied to M^T M.
             exc.diagnostics.scale_alpha = 1.0 / exc.diagnostics.scale_alpha
         raise
-    diag = KernelDiagnostics(updates, 1.0 / xnorm, None, residuals)
+    diag = KernelDiagnostics(updates, 1.0 / xnorm, None, residuals, [residuals[-1]])
     if residuals[-1] > _CUBIC_RESIDUAL_CEILING:
         raise KernelDivergenceError(
             f"cubic polar residual stuck at {residuals[-1]:.3e} after "
@@ -280,7 +284,7 @@ def coupled_ns_sqrt(
         raise PreconditionError(f"iteration count must be >= 1, got {iters}")
     y, z, alpha, residuals, updates = _coupled_core(a, iters, _COUPLED_EXIT, "coupled sqrt")
     root = float(np.sqrt(alpha))
-    diag = KernelDiagnostics(updates, alpha, None, residuals)
+    diag = KernelDiagnostics(updates, alpha, None, residuals, [residuals[-1]])
     return root * y, z / root, diag
 
 
@@ -292,7 +296,7 @@ def coupled_ns_quarter(
     The first pass produces X^(1/2); the second pass re-normalizes that
     estimate by its own Frobenius norm (recorded as scale_beta) and takes
     its square root. ``iters`` applies per pass; diagnostics concatenate
-    both passes' residual histories.
+    both passes' residual histories and list each pass's final residual.
     """
     a = _validate_input(x)
     if a.shape[0] != a.shape[1]:
@@ -304,7 +308,7 @@ def coupled_ns_quarter(
     half = 0.5 * (half + half.T)
     y2, z2, beta, res2, up2 = _coupled_core(half, iters, _COUPLED_EXIT, "quarter pass 2")
     root = float(np.sqrt(beta))
-    diag = KernelDiagnostics(up1 + up2, alpha, beta, res1 + res2)
+    diag = KernelDiagnostics(up1 + up2, alpha, beta, res1 + res2, [res1[-1], res2[-1]])
     return root * y2, z2 / root, diag
 
 
@@ -314,6 +318,7 @@ def _merge_diagnostics(first: KernelDiagnostics, second: KernelDiagnostics) -> K
         scale_alpha=first.scale_alpha,
         scale_beta=second.scale_beta if second.scale_beta is not None else first.scale_beta,
         residual_per_iter=first.residual_per_iter + second.residual_per_iter,
+        pass_residuals=first.pass_residuals + second.pass_residuals,
     )
 
 
@@ -360,8 +365,7 @@ def spectral_transform(
     if exponent is SpectralExponent.HALF:
         transposed = a.shape[0] < a.shape[1]
         work = a.T if transposed else a
-        x = work.T @ work
-        x = 0.5 * (x + x.T)
+        x = gram(work)
         try:
             _, inv_quarter, diag = coupled_ns_quarter(x, k)
         except ToolkitError as exc:

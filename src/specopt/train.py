@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ToolkitError
-from .kernels import SpectralExponent
 from .optim import (
     HyperParams,
     InputKind,

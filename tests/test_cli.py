@@ -127,6 +127,7 @@ def test_transform_oracle_flattens_the_diagonal_fixture(tmp_path):
     assert sidecar["iterations"] is None
     assert sidecar["alpha"] is None
     assert sidecar["residuals"] == []
+    assert sidecar["pass_residuals"] == []
 
 
 def test_transform_ns_matches_oracle_within_published_tolerance(tmp_path):
@@ -146,6 +147,15 @@ def test_transform_ns_matches_oracle_within_published_tolerance(tmp_path):
         rel = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert rel <= sidecar["calibrated_rel_tol"], p
         assert sidecar["iterations"] > 0
+
+
+def test_transform_sidecar_lists_each_pass_residual(tmp_path):
+    src = tmp_path / "in.mat"
+    write_matrix(src, FIXTURE5)
+    assert main(["transform", str(src), str(tmp_path / "out.mat"), "--p", "0.25"]) == EXIT_OK
+    sidecar = json.loads((tmp_path / "out.mat.diag.json").read_text())
+    assert len(sidecar["pass_residuals"]) == 4  # two coupled passes per half transform
+    assert sidecar["pass_residuals"][-1] == sidecar["residuals"][-1]
 
 
 def test_transform_user_errors_exit_two(tmp_path, capsys):
@@ -169,6 +179,7 @@ def test_transform_numeric_failure_exits_three_with_diagnostics(tmp_path, capsys
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "iterations=" in err and "residuals=" in err
+    assert "pass_residuals=['" in err  # the stalled cubic pass's final residual
 
 
 # --- verify -----------------------------------------------------------------

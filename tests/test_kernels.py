@@ -233,6 +233,17 @@ def test_coupled_quarter_reconstruction():
     assert np.linalg.norm(q @ iq - np.eye(8)) <= 1e-7
 
 
+def test_single_pass_kernels_report_their_final_residual():
+    rng = np.random.default_rng(9)
+    x = random_spd(rng, 6, 20.0)
+    _, _, diag = coupled_ns_sqrt(x)
+    assert diag.pass_residuals == [diag.residual_per_iter[-1]]
+    _, diag = polar_cubic(rng.standard_normal((8, 5)))
+    assert diag.pass_residuals == [diag.residual_per_iter[-1]]
+    _, diag = polar_quintic(rng.standard_normal((8, 5)))
+    assert diag.pass_residuals == []
+
+
 # --- assembled transform --------------------------------------------------
 
 
@@ -317,3 +328,19 @@ def test_transform_wide_input_matches_transposed_tall():
 def test_transform_input_validation():
     with pytest.raises(NonFiniteError):
         spectral_transform(np.array([[1.0, np.inf]]), SpectralExponent.HALF)
+
+
+def test_transform_reports_an_unconverged_pass_behind_a_converged_one():
+    # At kappa 1e4 the default 15 iterations per pass leave the first half
+    # transform far from converged; the second half transform converges on
+    # its already flattened input, so the concatenated history ends small
+    # while the quarter power is about 8e-2 off.
+    a = spectrum_matrix(np.random.default_rng(0), 128, 128, 1e4)
+    _, half = spectral_transform(a, SpectralExponent.HALF)
+    _, quarter = spectral_transform(a, SpectralExponent.QUARTER)
+    assert len(half.pass_residuals) == 2
+    assert len(quarter.pass_residuals) == 4
+    assert quarter.pass_residuals[:2] == half.pass_residuals
+    assert quarter.residual_per_iter[-1] < 1e-12
+    assert quarter.pass_residuals[-1] == quarter.residual_per_iter[-1]
+    assert quarter.pass_residuals[0] > 1.0

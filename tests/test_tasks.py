@@ -5,9 +5,14 @@ import pytest
 
 from specopt.errors import ConfigError
 from specopt.tasks import (
+    _GELU_C,
+    _GELU_K,
+    _LOSS_BLOCK_ROWS,
     VOCAB_SIZE,
     CharMlp,
     MatrixRegression,
+    _gelu,
+    _gelu_grad,
     builtin_corpus,
     encode_text,
     make_task,
@@ -185,6 +190,53 @@ def test_charlm_gradients_against_central_differences():
             assert abs(fd - an) <= 1e-4 * max(abs(an), 1e-6), (name, idx)
             checked += 1
     assert checked >= 100
+
+
+def test_gelu_matches_the_closed_form_with_pow():
+    x = np.concatenate([[0.0, 1e-8, -1e-8], np.linspace(-10.0, 10.0, 20001)])
+    th = np.tanh(_GELU_C * (x + _GELU_K * x ** 3))
+    want = 0.5 * x * (1.0 + th)
+    want_grad = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * _GELU_C * (
+        1.0 + 3.0 * _GELU_K * x ** 2
+    )
+    got, x2, got_th = _gelu(x)
+    got_grad = _gelu_grad(x, x2, got_th)
+    # For large negative x the GELU is a difference of near-equal terms of
+    # size |x|, so its ulps are counted at that scale rather than at the
+    # (tiny) result's; the derivative's terms are of size max(|x|, 1).
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(x)))
+    assert np.all(np.abs(got_grad - want_grad) <= 4 * np.spacing(np.maximum(np.abs(x), 1.0)))
+    assert got[0] == 0.0 and got_grad[0] == 0.5
+
+
+def one_shot_loss(task, params, positions):
+    """Mean cross-entropy of one unblocked forward pass, GELU cube via pow."""
+    ctx = task.data[positions[:, None] + np.arange(task.context)]
+    tgt = task.data[positions + task.context]
+    x = params["embed"][ctx].reshape(len(positions), -1)
+    z1 = x @ params["W1"].T + params["b1"]
+    h = 0.5 * z1 * (1.0 + np.tanh(_GELU_C * (z1 + _GELU_K * z1 ** 3)))
+    z2 = h @ params["W2"].T + params["b2"]
+    shifted = z2 - z2.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return -float(logp[np.arange(len(tgt)), tgt].mean())
+
+
+@pytest.mark.parametrize("corpus", [None, TINY_CORPUS[:300]], ids=["builtin", "under-one-block"])
+def test_charlm_blocked_losses_match_one_shot_pass(corpus):
+    task = CharMlp(0, corpus_text=corpus)
+    params = task.init_params(np.random.default_rng(5))
+    params["W1"] *= 3.0  # reach the GELU's tails
+    if corpus is None:
+        assert task.num_train > _LOSS_BLOCK_ROWS and task.num_train % _LOSS_BLOCK_ROWS != 0
+    else:
+        assert task.num_train < _LOSS_BLOCK_ROWS
+    for got, positions in (
+        (task.train_loss(params), task._train_positions),
+        (task.eval_loss(params), task._eval_positions),
+    ):
+        want = one_shot_loss(task, params, positions)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_charlm_loss_is_deterministic():
