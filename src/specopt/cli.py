@@ -16,35 +16,35 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import calibration
 from .dense import read_matrix, write_matrix
 from .errors import (
     ConfigError,
-    DegenerateInputError,
     InfiniteConditionError,
     KernelDivergenceError,
-    MatrixFormatError,
-    NonFiniteError,
     OracleConvergenceError,
     PoisonedGradientError,
-    PreconditionError,
-    RoutingError,
-    ShapeError,
     ToolkitError,
-    ZeroMatrixError,
 )
 from .kernels import SpectralExponent, spectral_transform
-from .optim import ALL_OPTIMIZERS, HyperParams, parse_optimizer
+from .optim import ALL_OPTIMIZERS, OptimizerKind, parse_optimizer
 from .oracle import spectral_power_exact
 from .sweep import SweepPlan, classify_stability, run_sweep
 from .train import (
+    CONFIG_KEYS,
     TOOLKIT_VERSION,
     TrainConfig,
     canonical_config_text,
     config_digest,
+    config_from_mapping,
+    parse_float,
+    parse_int,
+    reject_unknown_keys,
     run_training,
+    text_digest,
 )
 from .verify import SUITE_NAMES, all_passed, format_table, run_suites
 
@@ -53,18 +53,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USER_ERROR = 2
 EXIT_DIVERGED = 3
 
-# Bad inputs and bad configs are the caller's to fix; the rest of the
-# toolkit errors mean the numbers went somewhere they should not.
-_USER_FAULTS = (
-    ConfigError,
-    MatrixFormatError,
-    ShapeError,
-    NonFiniteError,
-    DegenerateInputError,
-    ZeroMatrixError,
-    PreconditionError,
-    RoutingError,
-)
+# These toolkit errors mean the numbers went somewhere they should not; the
+# rest are bad inputs or configs, the caller's to fix.
 _NUMERIC_FAULTS = (
     KernelDivergenceError,
     OracleConvergenceError,
@@ -96,140 +86,58 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
     return mapping
 
 
-def _coerce_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-
-
-def _coerce_float(key: str, value: str) -> float:
-    try:
-        out = float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-    return out
-
-
-def _coerce_bool(key: str, value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    raise ConfigError(f"{key}: expected true or false, got {value!r}")
-
-
-_TRAIN_KEYS = frozenset(
-    (
-        "task", "optimizer", "lr_mat", "lr_vec", "beta1", "beta2", "eps",
-        "spectral_iters", "fan_scaling", "fan_scaling_all", "total_steps",
-        "warmup_steps", "batch_size", "eval_every", "seed",
-        "divergence_threshold", "corpus",
-    )
-)
 _SWEEP_KEYS = frozenset(("optimizers", "lr_grid", "refine_factors", "max_fine_rounds"))
 
 
-def build_train_config(mapping: dict[str, str], seed_flag: int | None = None) -> TrainConfig:
+def build_train_config(
+    mapping: dict[str, str], seed_flag: int | None = None, **fallbacks
+) -> TrainConfig:
     """Validate a key-value mapping into a TrainConfig.
 
     ``seed_flag`` is the --seed global flag; flags win over config-file
-    lines, so when it is set it overrides any `seed =` entry.
+    lines, so when it is set it overrides any (still validated) `seed =`
+    entry. ``fallbacks`` are passed on to ``config_from_mapping``.
     """
-    unknown = sorted(set(mapping) - _TRAIN_KEYS)
-    if unknown:
-        raise ConfigError(
-            f"unknown config keys: {', '.join(unknown)}; valid keys: "
-            + ", ".join(sorted(_TRAIN_KEYS))
-        )
-    for key in ("task", "optimizer", "lr_mat"):
-        if key not in mapping:
-            raise ConfigError(f"config is missing required key {key!r}")
-
-    spectral_iters = None
-    raw = mapping.get("spectral_iters", "default")
-    if raw != "default":
-        spectral_iters = _coerce_int("spectral_iters", raw)
-
-    threshold = None
-    raw = mapping.get("divergence_threshold", "auto")
-    if raw != "auto":
-        threshold = _coerce_float("divergence_threshold", raw)
-
-    corpus = mapping.get("corpus", "builtin")
-    hp = HyperParams(
-        lr_mat=_coerce_float("lr_mat", mapping["lr_mat"]),
-        lr_vec=_coerce_float("lr_vec", mapping.get("lr_vec", "3e-4")),
-        beta1=_coerce_float("beta1", mapping.get("beta1", "0.9")),
-        beta2=_coerce_float("beta2", mapping.get("beta2", "0.95")),
-        eps=_coerce_float("eps", mapping.get("eps", "1e-8")),
-        spectral_iters=spectral_iters,
-        fan_scaling=_coerce_bool("fan_scaling", mapping.get("fan_scaling", "true")),
-        fan_scaling_all=_coerce_bool(
-            "fan_scaling_all", mapping.get("fan_scaling_all", "false")
-        ),
-    )
-    if seed_flag is not None:
-        seed = seed_flag
-    elif "seed" in mapping:
-        seed = _coerce_int("seed", mapping["seed"])
-    else:
-        seed = 0
-    return TrainConfig(
-        task=mapping["task"],
-        optimizer=parse_optimizer(mapping["optimizer"]),
-        hp=hp,
-        total_steps=_coerce_int("total_steps", mapping.get("total_steps", "2000")),
-        warmup_steps=_coerce_int("warmup_steps", mapping.get("warmup_steps", "100")),
-        batch_size=_coerce_int("batch_size", mapping.get("batch_size", "64")),
-        eval_every=_coerce_int("eval_every", mapping.get("eval_every", "100")),
-        seed=seed,
-        divergence_threshold=threshold,
-        corpus_path=None if corpus == "builtin" else corpus,
-    )
+    cfg = config_from_mapping(mapping, **fallbacks)
+    return cfg if seed_flag is None else replace(cfg, seed=seed_flag)
 
 
-def _split_csv_list(key: str, value: str) -> list[str]:
+def _parse_list(key: str, value: str, parse) -> tuple:
     items = [part.strip() for part in value.split(",") if part.strip()]
     if not items:
         raise ConfigError(f"{key}: expected a comma-separated list, got {value!r}")
-    return items
+    return tuple(parse(key, item) for item in items)
 
 
 def build_sweep_inputs(
     mapping: dict[str, str], seed_flag: int | None = None
-) -> tuple[TrainConfig, SweepPlan, list]:
+) -> tuple[TrainConfig, SweepPlan, tuple[OptimizerKind, ...]]:
     """Split a sweep mapping into (base TrainConfig, SweepPlan, optimizers)."""
-    unknown = sorted(set(mapping) - _TRAIN_KEYS - _SWEEP_KEYS)
-    if unknown:
-        raise ConfigError(
-            f"unknown config keys: {', '.join(unknown)}; valid keys: "
-            + ", ".join(sorted(_TRAIN_KEYS | _SWEEP_KEYS))
-        )
+    reject_unknown_keys(mapping, CONFIG_KEYS | _SWEEP_KEYS)
     if "lr_grid" not in mapping:
         raise ConfigError("sweep config is missing required key 'lr_grid'")
-    grid = tuple(
-        _coerce_float("lr_grid", item) for item in _split_csv_list("lr_grid", mapping["lr_grid"])
-    )
-    factors = (0.5, 0.75, 1.5, 2.0)
+    grid = _parse_list("lr_grid", mapping["lr_grid"], parse_float)
+    refinement = {}
     if "refine_factors" in mapping:
-        factors = tuple(
-            _coerce_float("refine_factors", item)
-            for item in _split_csv_list("refine_factors", mapping["refine_factors"])
+        refinement["refine_factor_grid"] = _parse_list(
+            "refine_factors", mapping["refine_factors"], parse_float
         )
-    rounds = _coerce_int("max_fine_rounds", mapping.get("max_fine_rounds", "8"))
-    plan = SweepPlan(coarse_grid=tuple(sorted(grid)), refine_factor_grid=factors,
-                     max_fine_rounds=rounds)
+    if "max_fine_rounds" in mapping:
+        refinement["max_fine_rounds"] = parse_int("max_fine_rounds", mapping["max_fine_rounds"])
+    plan = SweepPlan(coarse_grid=tuple(sorted(grid)), **refinement)
 
     raw_opts = mapping.get("optimizers", "all")
     if raw_opts.strip().lower() == "all":
-        optimizers = list(ALL_OPTIMIZERS)
+        optimizers = ALL_OPTIMIZERS
     else:
-        optimizers = [parse_optimizer(tok) for tok in _split_csv_list("optimizers", raw_opts)]
+        optimizers = _parse_list("optimizers", raw_opts, lambda _, tok: parse_optimizer(tok))
 
-    base_map = {k: v for k, v in mapping.items() if k in _TRAIN_KEYS}
-    base_map.setdefault("lr_mat", repr(plan.coarse_grid[0]))
-    base_map.setdefault("optimizer", optimizers[0].token)
-    base_cfg = build_train_config(base_map, seed_flag)
+    # run_sweep sets each trial's optimizer and peak lr; the base config's
+    # own ones only enter the canonical text.
+    base_cfg = build_train_config(
+        {k: v for k, v in mapping.items() if k not in _SWEEP_KEYS}, seed_flag,
+        optimizer=optimizers[0], lr_mat=plan.coarse_grid[0],
+    )
     return base_cfg, plan, optimizers
 
 
@@ -266,12 +174,6 @@ def _resolved_mapping(args) -> dict[str, str]:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         mapping[key] = value
     return mapping
-
-
-def _digest_of_text(text: str) -> str:
-    import hashlib
-
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def _out_dir(args, digest: str) -> Path:
@@ -372,7 +274,7 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     base_cfg, plan, optimizers = build_sweep_inputs(_resolved_mapping(args), args.seed)
     text = sweep_canonical_text(base_cfg, plan, optimizers)
-    digest = _digest_of_text(text)
+    digest = text_digest(text)
     run_dir = _out_dir(args, digest)
     (run_dir / "resolved.cfg").write_text(text, encoding="ascii")
     print(f"digest: {digest}")
@@ -436,9 +338,20 @@ def cmd_sweep(args) -> int:
 # --- parser ---------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed; numpy takes only non-negative seeds."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None, help="base RNG seed")
+    shared.add_argument("--seed", type=_seed, default=None, help="base RNG seed")
     shared.add_argument("--out-dir", default=None, help="artifact directory root")
     shared.add_argument("--config", default=None, help="key = value config file")
     shared.add_argument(
@@ -494,9 +407,6 @@ def main(argv=None) -> int:
         return EXIT_USER_ERROR if code not in (0,) else 0
     try:
         return args.fn(args)
-    except _USER_FAULTS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
     except _NUMERIC_FAULTS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         diagnostics = getattr(exc, "diagnostics", None)
@@ -509,10 +419,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return EXIT_DIVERGED
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER_ERROR
-    except OSError as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
 

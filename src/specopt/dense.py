@@ -40,18 +40,9 @@ def as_matrix(data, rows: int | None = None, cols: int | None = None) -> Matrix:
     return a
 
 
-def _require_2d(a: Matrix, name: str = "matrix") -> None:
+def _require_2d(a: Matrix) -> None:
     if not isinstance(a, np.ndarray) or a.ndim != 2:
-        raise ShapeError(f"{name} must be a 2-D array")
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a @ b with an explicit inner-dimension check."""
-    _require_2d(a, "left operand")
-    _require_2d(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    return a @ b
+        raise ShapeError("matrix must be a 2-D array")
 
 
 def gram(o: Matrix) -> Matrix:
@@ -68,30 +59,6 @@ def gram(o: Matrix) -> Matrix:
 
 def frobenius_norm(a: Matrix) -> float:
     return float(np.linalg.norm(a))
-
-
-def transpose(a: Matrix) -> Matrix:
-    _require_2d(a)
-    return a.T.copy()
-
-
-def identity(n: int) -> Matrix:
-    if n < 1:
-        raise ShapeError(f"identity size must be positive, got {n}")
-    return np.eye(n, dtype=np.float64)
-
-
-def scale(a: Matrix, c: float) -> Matrix:
-    _require_2d(a)
-    return float(c) * a
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    _require_2d(a, "left operand")
-    _require_2d(b, "right operand")
-    if a.shape != b.shape:
-        raise ShapeError(f"cannot add {a.shape[0]}x{a.shape[1]} to {b.shape[0]}x{b.shape[1]}")
-    return a + b
 
 
 # Text format: first line "m n", then m lines of n decimals separated by

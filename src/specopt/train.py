@@ -1,18 +1,23 @@
 """Deterministic training loop: warmup plus cosine decay, divergence
 detection, replayable run records.
 
-A run is fully determined by its TrainConfig. The canonical rendering of
-that config (sorted "key = value" lines) is hashed into a digest that every
-output artifact embeds, and replaying the same config bit-reproduces every
-recorded row on the same platform. Wall time is kept on the record object
-but never serialized, so output files stay byte-stable.
+A run is fully determined by its TrainConfig. The field table
+CONFIG_FIELDS is the one list of config keys: each key's attribute, text
+parser, canonical rendering and the word that stands for None. The
+canonical rendering of a config (sorted "key = value" lines) is hashed into
+a digest that every output artifact embeds, and replaying the same config
+bit-reproduces every recorded row on the same platform. Wall time is kept
+on the record object but never serialized, so output files stay byte-stable.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import time
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Mapping
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -22,6 +27,7 @@ from .optim import (
     InputKind,
     OptimizerKind,
     OptimizerState,
+    parse_optimizer,
     step_matrix_param,
     step_vector_param,
 )
@@ -59,38 +65,143 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.divergence_threshold is not None and self.divergence_threshold <= 0:
             raise ConfigError("divergence_threshold must be positive when set")
 
 
+def reject_unknown_keys(mapping: Mapping[str, str], valid: frozenset[str]) -> None:
+    unknown = sorted(set(mapping) - set(valid))
+    if unknown:
+        raise ConfigError(
+            f"unknown config keys: {', '.join(unknown)}; valid keys: "
+            + ", ".join(sorted(valid))
+        )
+
+
+def parse_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+
+
+def parse_float(key: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_bool(key: str, text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "false"):
+        return low == "true"
+    raise ConfigError(f"{key}: expected true or false, got {text!r}")
+
+
+class _Codec(NamedTuple):
+    parse: Callable[[str, str], Any]  # (key, text) -> value; raises ConfigError
+    render: Callable[[Any], str]
+
+
+_TEXT = _Codec(lambda key, text: text, str)
+_INT = _Codec(parse_int, str)
+_FLOAT = _Codec(parse_float, repr)
+_BOOL = _Codec(_parse_bool, lambda value: "true" if value else "false")
+_OPTIMIZER = _Codec(lambda key, text: parse_optimizer(text), lambda kind: kind.token)
+
+
+@dataclass(frozen=True)
+class ConfigField:
+    """One config key: the attribute it sets and how its value reads and renders.
+
+    The default is the owning dataclass's; a key whose attribute has no
+    default is required. ``none_word`` is the text that stands for None.
+    """
+
+    key: str
+    owner: type  # TrainConfig or HyperParams
+    codec: _Codec
+    none_word: str | None = None
+    attribute: str | None = None  # None: same as the key
+
+    def __post_init__(self):
+        if self.attribute is None:
+            object.__setattr__(self, "attribute", self.key)
+
+    @property
+    def required(self) -> bool:
+        (spec,) = [f for f in fields(self.owner) if f.name == self.attribute]
+        return spec.default is MISSING
+
+    def parse(self, text: str):
+        return None if text == self.none_word else self.codec.parse(self.key, text)
+
+    def render(self, value) -> str:
+        return self.none_word if value is None else self.codec.render(value)
+
+
+CONFIG_FIELDS: tuple[ConfigField, ...] = (
+    ConfigField("task", TrainConfig, _TEXT),
+    ConfigField("optimizer", TrainConfig, _OPTIMIZER),
+    ConfigField("lr_mat", HyperParams, _FLOAT),
+    ConfigField("lr_vec", HyperParams, _FLOAT),
+    ConfigField("beta1", HyperParams, _FLOAT),
+    ConfigField("beta2", HyperParams, _FLOAT),
+    ConfigField("eps", HyperParams, _FLOAT),
+    ConfigField("spectral_iters", HyperParams, _INT, "default"),
+    ConfigField("fan_scaling", HyperParams, _BOOL),
+    ConfigField("fan_scaling_all", HyperParams, _BOOL),
+    ConfigField("total_steps", TrainConfig, _INT),
+    ConfigField("warmup_steps", TrainConfig, _INT),
+    ConfigField("batch_size", TrainConfig, _INT),
+    ConfigField("eval_every", TrainConfig, _INT),
+    ConfigField("seed", TrainConfig, _INT),
+    ConfigField("divergence_threshold", TrainConfig, _FLOAT, "auto"),
+    ConfigField("corpus", TrainConfig, _TEXT, "builtin", attribute="corpus_path"),
+)
+CONFIG_KEYS = frozenset(f.key for f in CONFIG_FIELDS)
+
+
+def config_from_mapping(mapping: Mapping[str, str], **fallbacks) -> TrainConfig:
+    """Validate "key = value" text into a TrainConfig.
+
+    Keys the mapping leaves out take the dataclass defaults, or the
+    ``fallbacks`` value under the field's attribute name when one is given.
+    Unknown keys and missing required keys raise ConfigError.
+    """
+    reject_unknown_keys(mapping, CONFIG_KEYS)
+    for f in CONFIG_FIELDS:
+        if f.required and f.key not in mapping and f.attribute not in fallbacks:
+            raise ConfigError(f"config is missing required key {f.key!r}")
+    kwargs: dict[type, dict] = {TrainConfig: {}, HyperParams: {}}
+    for f in CONFIG_FIELDS:
+        if f.key in mapping:
+            kwargs[f.owner][f.attribute] = f.parse(mapping[f.key])
+        elif f.attribute in fallbacks:
+            kwargs[f.owner][f.attribute] = fallbacks[f.attribute]
+    return TrainConfig(hp=HyperParams(**kwargs[HyperParams]), **kwargs[TrainConfig])
+
+
 def canonical_config_text(cfg: TrainConfig) -> str:
     """Sorted key = value rendering; the digest input and replay format."""
-    items = {
-        "task": cfg.task,
-        "optimizer": cfg.optimizer.token,
-        "lr_mat": repr(cfg.hp.lr_mat),
-        "lr_vec": repr(cfg.hp.lr_vec),
-        "beta1": repr(cfg.hp.beta1),
-        "beta2": repr(cfg.hp.beta2),
-        "eps": repr(cfg.hp.eps),
-        "spectral_iters": "default" if cfg.hp.spectral_iters is None else str(cfg.hp.spectral_iters),
-        "fan_scaling": "true" if cfg.hp.fan_scaling else "false",
-        "fan_scaling_all": "true" if cfg.hp.fan_scaling_all else "false",
-        "total_steps": str(cfg.total_steps),
-        "warmup_steps": str(cfg.warmup_steps),
-        "batch_size": str(cfg.batch_size),
-        "eval_every": str(cfg.eval_every),
-        "seed": str(cfg.seed),
-        "divergence_threshold": (
-            "auto" if cfg.divergence_threshold is None else repr(cfg.divergence_threshold)
-        ),
-        "corpus": "builtin" if cfg.corpus_path is None else str(cfg.corpus_path),
-    }
-    return "".join(f"{k} = {items[k]}\n" for k in sorted(items))
+    owners = {TrainConfig: cfg, HyperParams: cfg.hp}
+    lines = {f.key: f.render(getattr(owners[f.owner], f.attribute)) for f in CONFIG_FIELDS}
+    return "".join(f"{k} = {lines[k]}\n" for k in sorted(lines))
+
+
+def text_digest(text: str) -> str:
+    """SHA-256 of a canonical config text; names runs and their artifacts."""
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def config_digest(cfg: TrainConfig) -> str:
-    return hashlib.sha256(canonical_config_text(cfg).encode("ascii")).hexdigest()
+    return text_digest(canonical_config_text(cfg))
 
 
 def lr_at(cfg: TrainConfig, step: int) -> float:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import calibration
-from .dense import frobenius_norm, identity
+from .dense import frobenius_norm
 from .errors import ConfigError, ToolkitError
 from .kernels import (
     SpectralExponent,
@@ -138,7 +138,7 @@ def _suite_kernels(seed: int, iters: int | None) -> list[CheckResult]:
             kw = {"iters": iters} if iters else {}
             y, z, _ = coupled_ns_sqrt(x, **kw)
             worst = max(worst, _rel(frobenius_norm(y @ y - x), frobenius_norm(x)))
-            worst = max(worst, frobenius_norm(z @ y - identity(14)) / math.sqrt(14))
+            worst = max(worst, frobenius_norm(z @ y - np.eye(14)) / math.sqrt(14))
         assert worst < 1e-6, f"coupled sqrt error {worst:.3e}"
         return f"max rel error {worst:.2e}"
 

@@ -5,11 +5,13 @@ bytes are pinned without spawning subprocesses.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from specopt.cli import (
+    _SWEEP_KEYS,
     EXIT_CHECK_FAILED,
     EXIT_DIVERGED,
     EXIT_OK,
@@ -21,6 +23,10 @@ from specopt.cli import (
 )
 from specopt.dense import format_matrix, read_matrix, write_matrix
 from specopt.errors import ConfigError
+from specopt.sweep import SweepPlan
+from specopt.train import CONFIG_FIELDS, CONFIG_KEYS, canonical_config_text
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FIXTURE5 = np.diag([9.0, 4.0, 1.0, 0.01, 0.0001])
 
@@ -83,6 +89,65 @@ def test_build_train_config_rejects_unknown_and_missing_keys():
     with pytest.raises(ConfigError, match="expected an integer"):
         build_train_config({"task": "matreg", "optimizer": "adam",
                             "lr_mat": "0.1", "total_steps": "many"})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,key", [
+    ("train", "divergence_threshold"),
+    ("train", "lr_mat"),
+    ("sweep", "lr_grid"),
+    ("sweep", "refine_factors"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, key, value):
+    # divergence_threshold = nan would switch the threshold check off: loss > nan
+    # is always false
+    cfg = write_cfg(tmp_path, TRAIN_CFG if command == "train" else SWEEP_CFG)
+    out = tmp_path / "o"
+    code = main([command, "--config", cfg, "--set", f"{key}={value}", "--out-dir", str(out)])
+    assert code == EXIT_USER_ERROR
+    assert f"{key}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seeds_are_user_errors(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TRAIN_CFG)
+    out = tmp_path / "o"
+    for argv in (
+        ["train", "--config", cfg, "--seed", "-1"],
+        ["train", "--config", cfg, "--set", "seed=-1"],
+        ["train", "--config", write_cfg(tmp_path, TRAIN_CFG.replace("seed = 0", "seed = -1"),
+                                        "neg.cfg")],
+        ["sweep", "--config", write_cfg(tmp_path, SWEEP_CFG), "--seed", "-1"],
+        ["verify", "--seed", "-1"],
+    ):
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_USER_ERROR, argv
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _readme_config_rows() -> dict[str, str]:
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key_cell, default_cell = line.strip("|").split("|")[:2]
+            rows[key_cell.split("`")[1]] = default_cell.strip()
+    return rows
+
+
+def test_readme_config_table_matches_the_field_table():
+    rows = _readme_config_rows()
+    assert set(rows) == CONFIG_KEYS | _SWEEP_KEYS
+    cfg = build_train_config({"task": "matreg", "optimizer": "adam", "lr_mat": "0.01"})
+    defaults = parse_config_text(canonical_config_text(cfg))
+    for f in CONFIG_FIELDS:
+        assert rows[f.key] == ("required" if f.required else f"`{defaults[f.key]}`"), f.key
+    plan = SweepPlan(coarse_grid=(1.0,))
+    assert rows["lr_grid"] == "required"
+    assert rows["optimizers"] == "`all`"
+    assert rows["refine_factors"] == f"`{','.join(map(repr, plan.refine_factor_grid))}`"
+    assert rows["max_fine_rounds"] == f"`{plan.max_fine_rounds}`"
 
 
 def test_build_sweep_inputs_defaults_to_all_optimizers():

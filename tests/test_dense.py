@@ -4,51 +4,17 @@ import numpy as np
 import pytest
 
 from specopt.dense import (
-    add,
     as_matrix,
     format_matrix,
     frobenius_norm,
     gram,
-    identity,
-    matmul,
     parse_matrix,
     read_matrix,
-    scale,
-    transpose,
     write_matrix,
 )
 from specopt.errors import MatrixFormatError, NonFiniteError, ShapeError
 from specopt.oracle import jacobi_eigh
 from specopt.synth import random_orthogonal
-
-
-def test_matmul_hand_product():
-    a = as_matrix([[1.0, 2.0], [3.0, 4.0]])
-    b = as_matrix([[5.0, 6.0], [7.0, 8.0]])
-    assert np.array_equal(matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
-
-
-def test_matmul_identity_and_annihilator():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 5))
-    assert np.array_equal(matmul(identity(3), a), a)
-    assert np.array_equal(matmul(a, np.zeros((5, 2))), np.zeros((3, 2)))
-
-
-def test_matmul_associativity():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        a = rng.standard_normal((6, 4))
-        b = rng.standard_normal((4, 7))
-        c = rng.standard_normal((7, 3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.linalg.norm(left - right) <= 1e-10 * np.linalg.norm(left)
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match="2x3.*4x2"):
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 def test_gram_orthonormal_columns_give_identity():
@@ -79,21 +45,9 @@ def test_gram_symmetric_with_nonnegative_eigenvalues():
 
 
 def test_frobenius_norm_values():
-    assert frobenius_norm(identity(4)) == 2.0
+    assert frobenius_norm(np.eye(4)) == 2.0
     assert frobenius_norm(np.zeros((3, 2))) == 0.0
     assert frobenius_norm(as_matrix([[3.0, 4.0]])) == 5.0
-
-
-def test_plumbing_ops():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((4, 3))
-    assert np.array_equal(transpose(transpose(a)), a)
-    assert np.array_equal(scale(a, 1.0), a)
-    assert np.array_equal(add(a, scale(a, -1.0)), np.zeros_like(a))
-    with pytest.raises(ShapeError):
-        add(a, np.zeros((3, 4)))
-    with pytest.raises(ShapeError):
-        identity(0)
 
 
 def test_as_matrix_reshape_and_validation():

@@ -76,6 +76,8 @@ def test_config_validation():
         matreg_config(eval_every=0)
     with pytest.raises(ConfigError):
         matreg_config(divergence_threshold=0.0)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        matreg_config(seed=-1)
 
 
 def test_canonical_text_is_sorted_and_complete():
