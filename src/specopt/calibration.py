@@ -1,10 +1,14 @@
-"""Frozen numerical tolerances measured once against the exact oracle.
+"""Frozen numerical tolerances of the toolkit's contracts.
 
-Each constant was calibrated by running the iterative kernels at their
-default budgets on random inputs (shapes up to 64x48, condition number
+The kernel constants were calibrated by running the iterative kernels at
+their default budgets on random inputs (shapes up to 64x48, condition number
 <= 100, five seeds of 100 draws each) and comparing against the Jacobi-SVD
-oracle, then frozen with headroom. They are contracts, not knobs: loosening
-one to make a failing build pass defeats the point of the dual-route checks.
+oracle, then frozen with headroom. The block at the end holds the remaining
+contracts' tolerances: the oracle's own invariants, the coupled-iteration
+identities, the optimizer reductions and the gradient checks. The property
+checks in ``verify`` (run by ``specopt verify`` and the acceptance tests)
+read every one of them. They are contracts, not knobs: loosening one to make
+a failing build pass defeats the point of the dual-route checks.
 """
 
 # Relative Frobenius error of the coupled-iteration root path vs the oracle
@@ -31,3 +35,12 @@ REL_TOL_ZERO_QUINTIC = 0.45
 # map's limit cycle spans [0.6816, 1.2021]. The frozen band contains both
 # with margin on each side.
 QUINTIC_SV_BAND = (0.65, 1.21)
+
+# frozen tolerances
+ORACLE_FIXTURE_TOL = 1e-12
+ORACLE_ORTHONORMALITY_TOL = 1e-10   # Frobenius defect of each factor
+ORACLE_RECONSTRUCTION_TOL = 1e-9    # relative Frobenius
+CONDITION_LAW_TOL = 1e-9            # relative error of kappa -> kappa**p
+COUPLED_IDENTITY_TOL = 1e-6         # relative Frobenius
+REDUCTION_DRIFT_TOL = 1e-12         # max abs drift over 500 steps
+GRADIENT_CHECK_TOL = 1e-4           # relative, noise-floored

@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 from . import calibration
 from .dense import read_matrix, write_matrix
@@ -338,28 +339,35 @@ def cmd_sweep(args) -> int:
 # --- parser ---------------------------------------------------------------
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed; numpy takes only non-negative seeds."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=_seed, default=None, help="base RNG seed")
-    shared.add_argument("--out-dir", default=None, help="artifact directory root")
-    shared.add_argument("--config", default=None, help="key = value config file")
-    shared.add_argument(
+    # numpy takes only non-negative seeds
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_int_at_least(0), default=None, help="base RNG seed")
+    configured = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    configured.add_argument("--out-dir", default=None, help="artifact directory root")
+    configured.add_argument("--config", default=None, help="key = value config file")
+    configured.add_argument(
         "--set",
         action="append",
         metavar="KEY=VALUE",
         help="override one config key; wins over --config",
     )
+    iters = _int_at_least(1)
 
     parser = argparse.ArgumentParser(
         prog="specopt",
@@ -368,31 +376,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tr = sub.add_parser("transform", parents=[shared], help="apply a spectral power")
+    tr = sub.add_parser("transform", help="apply a spectral power")
     tr.add_argument("input", help="input matrix file")
     tr.add_argument("output", help="output matrix file")
     tr.add_argument("--p", required=True, help="exponent token: 1, 0.5, 0.25, or 0")
     tr.add_argument("--method", choices=("ns", "oracle"), default="ns")
-    tr.add_argument("--iters", type=int, default=None, help="iteration override")
+    tr.add_argument("--iters", type=iters, default=None, help="iteration override")
     tr.add_argument("--zero-method", choices=("quintic", "cubic"), default="quintic",
                     help="polar kernel for p=0")
     tr.set_defaults(fn=cmd_transform)
 
-    ve = sub.add_parser("verify", parents=[shared], help="run property suites")
+    ve = sub.add_parser("verify", parents=[seeded], help="run property suites")
     ve.add_argument(
         "suites",
         nargs="*",
         default=["all"],
         help=f"suites to run: {', '.join(SUITE_NAMES)}, or all",
     )
-    ve.add_argument("--iters", type=int, default=None,
+    ve.add_argument("--iters", type=iters, default=None,
                     help="force a kernel iteration count (to demonstrate failure)")
     ve.set_defaults(fn=cmd_verify)
 
-    tn = sub.add_parser("train", parents=[shared], help="one training run")
+    tn = sub.add_parser("train", parents=[configured], help="one training run")
     tn.set_defaults(fn=cmd_train)
 
-    sw = sub.add_parser("sweep", parents=[shared], help="learning-rate sweep")
+    sw = sub.add_parser("sweep", parents=[configured], help="learning-rate sweep")
     sw.set_defaults(fn=cmd_sweep)
 
     return parser

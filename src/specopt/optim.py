@@ -22,6 +22,7 @@ their inputs, which keeps replays bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -109,10 +110,11 @@ class HyperParams:
             raise ConfigError(f"beta1 must lie in [0, 1), got {self.beta1}")
         if not 0.0 <= self.beta2 < 1.0:
             raise ConfigError(f"beta2 must lie in [0, 1), got {self.beta2}")
-        if self.eps < 0.0:
-            raise ConfigError(f"eps must be >= 0, got {self.eps}")
-        if self.lr_mat < 0.0 or self.lr_vec < 0.0:
-            raise ConfigError("learning rates must be >= 0")
+        if not (math.isfinite(self.eps) and self.eps >= 0.0):
+            raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
+        for name, lr in (("lr_mat", self.lr_mat), ("lr_vec", self.lr_vec)):
+            if not (math.isfinite(lr) and lr >= 0.0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {lr}")
         if self.spectral_iters is not None and self.spectral_iters < 1:
             raise ConfigError(f"spectral_iters must be >= 1, got {self.spectral_iters}")
 

@@ -13,6 +13,7 @@ rate differ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,12 +32,14 @@ class SweepPlan:
     def __post_init__(self):
         if not self.coarse_grid:
             raise ConfigError("coarse_grid must not be empty")
-        if any(lr <= 0 for lr in self.coarse_grid):
-            raise ConfigError("coarse_grid entries must be positive")
+        if not all(math.isfinite(lr) and lr > 0 for lr in self.coarse_grid):
+            raise ConfigError("coarse_grid entries must be finite and positive")
         if list(self.coarse_grid) != sorted(self.coarse_grid):
             raise ConfigError("coarse_grid must be sorted ascending")
-        if not self.refine_factor_grid or any(f <= 0 for f in self.refine_factor_grid):
-            raise ConfigError("refine_factor_grid must hold positive factors")
+        if not self.refine_factor_grid or not all(
+            math.isfinite(f) and f > 0 for f in self.refine_factor_grid
+        ):
+            raise ConfigError("refine_factor_grid must hold finite positive factors")
         if self.max_fine_rounds < 0:
             raise ConfigError("max_fine_rounds must be >= 0")
 

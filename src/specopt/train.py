@@ -67,8 +67,11 @@ class TrainConfig:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.divergence_threshold is not None and self.divergence_threshold <= 0:
-            raise ConfigError("divergence_threshold must be positive when set")
+        threshold = self.divergence_threshold
+        if threshold is not None and not (math.isfinite(threshold) and threshold > 0):
+            raise ConfigError(
+                f"divergence_threshold must be finite and positive when set, got {threshold}"
+            )
 
 
 def reject_unknown_keys(mapping: Mapping[str, str], valid: frozenset[str]) -> None:

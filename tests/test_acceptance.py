@@ -1,243 +1,68 @@
 """Acceptance gate: one test per published contract of the toolkit.
 
 Run with ``pytest -v tests/test_acceptance.py`` to get exactly one
-pass/fail line per contract. Every tolerance here is frozen; loosening one
-to get a red build green defeats the purpose of the gate. The slow final
-test runs the full desk-scale sweep design and takes about a minute.
+pass/fail line per contract. Contracts 01-07 run the property checks of
+``specopt.verify`` at their full sample counts (``specopt verify`` runs the
+same checks small) and print the worst values they saw. Every tolerance is
+frozen in ``specopt.calibration`` and pinned below; loosening one to get a
+red build green defeats the purpose of the gate. The slow final test runs
+the full desk-scale sweep design and takes about a minute.
 """
 
 import json
-import math
 
 import numpy as np
 
-from specopt import calibration
+from specopt import calibration, verify
 from specopt.cli import main
 from specopt.dense import write_matrix
-from specopt.kernels import (
-    SpectralExponent,
-    coupled_ns_quarter,
-    coupled_ns_sqrt,
-    polar_cubic,
-    polar_quintic,
-    spectral_transform,
-)
-from specopt.optim import (
-    HyperParams,
-    InputKind,
-    OptimizerState,
-    make_input,
-    parse_optimizer,
-    step_matrix_param,
-    update_moments,
-)
-from specopt.oracle import cond_number, spectral_power_exact, svd_via_gram
-from specopt.synth import random_spd, spectrum_matrix
+from specopt.optim import HyperParams, parse_optimizer
 from specopt.sweep import SweepPlan, classify_stability, run_sweep
-from specopt.tasks import make_task
 from specopt.train import TrainConfig
 
-FIXTURE = np.diag([9.0, 4.0, 1.0, 0.01, 0.0001])
 
-# frozen tolerances
-ORACLE_FIXTURE_TOL = 1e-12
-ORACLE_ORTHONORMALITY_TOL = 1e-10   # Frobenius defect of each factor
-ORACLE_RECONSTRUCTION_TOL = 1e-9    # relative Frobenius
-CONDITION_LAW_TOL = 1e-9            # relative error of kappa -> kappa**p
-COUPLED_IDENTITY_TOL = 1e-6         # relative Frobenius
-REDUCTION_DRIFT_TOL = 1e-12         # max abs drift over 500 steps
-GRADIENT_CHECK_TOL = 1e-4           # relative, noise-floored
-
-
-def frob(a):
-    return float(np.linalg.norm(a))
+def test_frozen_tolerances_keep_their_calibrated_values():
+    assert calibration.ORACLE_FIXTURE_TOL == 1e-12
+    assert calibration.ORACLE_ORTHONORMALITY_TOL == 1e-10
+    assert calibration.ORACLE_RECONSTRUCTION_TOL == 1e-9
+    assert calibration.CONDITION_LAW_TOL == 1e-9
+    assert calibration.COUPLED_IDENTITY_TOL == 1e-6
+    assert calibration.REDUCTION_DRIFT_TOL == 1e-12
+    assert calibration.GRADIENT_CHECK_TOL == 1e-4
+    assert calibration.REL_TOL_HALF == 1e-3
+    assert calibration.REL_TOL_QUARTER == 1e-3
+    assert calibration.REL_TOL_POLAR_CUBIC == 1e-6
+    assert calibration.QUINTIC_SV_BAND == (0.65, 1.21)
 
 
 def test_01_diagonal_fixture_spectrum_follows_the_power_map():
-    cases = (
-        (1.0, [9.0, 4.0, 1.0, 0.01, 0.0001]),
-        (0.5, [3.0, 2.0, 1.0, 0.1, 0.01]),
-        (0.25, list(np.sqrt([3.0, 2.0, 1.0, 0.1, 0.01]))),
-        (0.0, [1.0] * 5),
-    )
-    worst = 0.0
-    for p, want in cases:
-        got = svd_via_gram(spectral_power_exact(FIXTURE, p)).sigma
-        worst = max(worst, float(np.max(np.abs(got - np.array(want)))))
-    print(f"fixture spectrum max abs error {worst:.2e}")
-    assert worst <= ORACLE_FIXTURE_TOL
+    print(verify.check_fixture_spectrum())
 
 
 def test_02_oracle_invariants_and_condition_power_law():
-    rng = np.random.default_rng(42)
-    worst_orth = worst_recon = worst_law = 0.0
-    for _ in range(50):
-        rows = int(rng.integers(5, 41))
-        cols = int(rng.integers(5, 41))
-        cond = float(10.0 ** rng.uniform(0.0, 4.0))
-        m = spectrum_matrix(rng, rows, cols, cond)
-        tr = svd_via_gram(m)
-        k = tr.sigma.size
-        worst_orth = max(
-            worst_orth,
-            frob(tr.u.T @ tr.u - np.eye(k)),
-            frob(tr.v.T @ tr.v - np.eye(k)),
-        )
-        worst_recon = max(worst_recon, frob(tr.reconstruct() - m) / frob(m))
-        kappa = cond_number(m)
-        for p in (0.5, 0.25, 0.0):
-            got = cond_number(spectral_power_exact(m, p))
-            worst_law = max(worst_law, abs(got - kappa ** p) / kappa ** p)
-    # the condition chain of the reference fixture, exactly where it should be
-    chain = (
-        cond_number(FIXTURE),
-        cond_number(spectral_power_exact(FIXTURE, 0.5)),
-        cond_number(spectral_power_exact(FIXTURE, 0.0)),
-    )
-    print(f"orth {worst_orth:.2e} recon {worst_recon:.2e} law {worst_law:.2e} "
-          f"chain {chain}")
-    assert worst_orth <= ORACLE_ORTHONORMALITY_TOL
-    assert worst_recon <= ORACLE_RECONSTRUCTION_TOL
-    assert worst_law <= CONDITION_LAW_TOL
-    assert abs(chain[0] - 90000.0) <= 1e-9 * 90000.0
-    assert abs(chain[1] - 300.0) <= 1e-9 * 300.0
-    assert abs(chain[2] - 1.0) <= 1e-9
+    print(verify.check_oracle_laws(np.random.default_rng(42), draws=50))
 
 
 def test_03_iterative_kernels_match_the_oracle_within_frozen_tolerances():
-    rng = np.random.default_rng(7)
-    worst_half = worst_quarter = worst_polar = 0.0
-    for _ in range(100):
-        rows = int(rng.integers(8, 65))
-        cols = int(rng.integers(8, 49))
-        cond = float(10.0 ** rng.uniform(0.0, 2.0))
-        m = spectrum_matrix(rng, rows, cols, cond)
-
-        half, _ = spectral_transform(m, SpectralExponent.HALF)
-        want = spectral_power_exact(m, 0.5)
-        worst_half = max(worst_half, frob(half - want) / frob(want))
-
-        quarter, _ = spectral_transform(m, SpectralExponent.QUARTER)
-        want = spectral_power_exact(m, 0.25)
-        worst_quarter = max(worst_quarter, frob(quarter - want) / frob(want))
-
-        polar, _ = polar_cubic(m)
-        tr = svd_via_gram(m)
-        want = tr.u @ tr.v.T
-        worst_polar = max(worst_polar, frob(polar - want) / frob(want))
-    print(f"half {worst_half:.2e} quarter {worst_quarter:.2e} polar {worst_polar:.2e}")
-    assert worst_half <= calibration.REL_TOL_HALF
-    assert worst_quarter <= calibration.REL_TOL_QUARTER
-    assert worst_polar <= calibration.REL_TOL_POLAR_CUBIC
+    print(verify.check_kernels_vs_oracle(np.random.default_rng(7), draws=100))
 
 
 def test_04_quintic_output_spectrum_stays_inside_the_calibrated_band():
-    lo, hi = calibration.QUINTIC_SV_BAND
-    seen_lo, seen_hi = math.inf, -math.inf
-    for seed in (0, 1, 2):
-        rng = np.random.default_rng(seed)
-        for _ in range(50):
-            rows = int(rng.integers(8, 33))
-            cols = int(rng.integers(5, 25))
-            cond = float(10.0 ** rng.uniform(0.0, 2.0))
-            m = spectrum_matrix(rng, rows, cols, cond)
-            out, _ = polar_quintic(m)
-            sig = svd_via_gram(out).sigma
-            seen_lo = min(seen_lo, float(sig[-1]))
-            seen_hi = max(seen_hi, float(sig[0]))
-    print(f"quintic singular values in [{seen_lo:.4f}, {seen_hi:.4f}], "
-          f"band [{lo}, {hi}]")
-    assert lo <= seen_lo
-    assert seen_hi <= hi
+    rngs = [np.random.default_rng(seed) for seed in (0, 1, 2)]
+    print(verify.check_quintic_band(rngs, draws=50))
 
 
 def test_05_coupled_iterations_satisfy_their_defining_identities():
-    rng = np.random.default_rng(11)
-    worst_sqrt = worst_inv = worst_quarter = 0.0
-    for _ in range(100):
-        n = int(rng.integers(4, 65))
-        cond = float(10.0 ** rng.uniform(0.0, 2.0))
-        x = random_spd(rng, n, cond)
-        y, z, _ = coupled_ns_sqrt(x)
-        worst_sqrt = max(worst_sqrt, frob(y @ y - x) / frob(x))
-        worst_inv = max(worst_inv, frob(z @ y - np.eye(n)) / math.sqrt(n))
-        q, _, _ = coupled_ns_quarter(x)
-        worst_quarter = max(worst_quarter, frob(q @ q @ q @ q - x) / frob(x))
-    print(f"sqrt {worst_sqrt:.2e} inverse {worst_inv:.2e} quarter {worst_quarter:.2e}")
-    assert worst_sqrt <= COUPLED_IDENTITY_TOL
-    assert worst_inv <= COUPLED_IDENTITY_TOL
-    assert worst_quarter <= COUPLED_IDENTITY_TOL
+    print(verify.check_coupled_identities(np.random.default_rng(11), draws=100))
 
 
 def test_06_optimizer_steps_reduce_to_reference_update_loops():
-    rng = np.random.default_rng(6)
-    hp = HyperParams(lr_mat=0.05)
-    w = rng.standard_normal((6, 4))
-    ref_w, ref_m = w.copy(), np.zeros_like(w)
-    state = OptimizerState.initial(w, need_v=False)
-    kind = parse_optimizer("msgd")
-    worst = 0.0
-    for _ in range(500):
-        g = rng.standard_normal(w.shape)
-        ref_m = hp.beta1 * ref_m + (1.0 - hp.beta1) * g
-        ref_w = ref_w - hp.lr_mat * ref_m
-        w, state, _ = step_matrix_param(w, g, state, kind, hp)
-        worst = max(worst, float(np.max(np.abs(w - ref_w))))
-
-    hp2 = HyperParams(lr_mat=0.01)
-    w2 = rng.standard_normal((6, 4))
-    ref_w2, ref_m2, ref_v2 = w2.copy(), np.zeros_like(w2), np.zeros_like(w2)
-    state2 = OptimizerState.initial(w2, need_v=True)
-    adam = parse_optimizer("adam")
-    for _ in range(500):
-        g = rng.standard_normal(w2.shape)
-        ref_m2 = hp2.beta1 * ref_m2 + (1.0 - hp2.beta1) * g
-        ref_v2 = hp2.beta2 * ref_v2 + (1.0 - hp2.beta2) * (g * g)
-        ref_w2 = ref_w2 - hp2.lr_mat * ref_m2 / (np.sqrt(ref_v2) + hp2.eps)
-        w2, state2, _ = step_matrix_param(w2, g, state2, adam, hp2)
-        worst = max(worst, float(np.max(np.abs(w2 - ref_w2))))
-    print(f"reduction drift over 500 steps {worst:.2e}")
-    assert worst <= REDUCTION_DRIFT_TOL
-
-    # t = 1 rms-normalized magnitude, exact to the last bit for +-1 gradients
-    g = np.sign(rng.standard_normal((8, 5))) + 0.0
-    hp3 = HyperParams(lr_mat=1.0, eps=0.0)
-    s = update_moments(OptimizerState.initial(g, True), g, hp3, True)
-    entries = np.abs(make_input(s, InputKind.RMS_NORMALIZED, hp3))
-    want = (1.0 - hp3.beta1) / math.sqrt(1.0 - hp3.beta2)
-    assert float(np.max(np.abs(entries - want))) == 0.0
-    assert abs(want - 0.4472135954999579) < 1e-15
+    print(verify.check_optimizer_reductions(np.random.default_rng(6), steps=500))
 
 
 def test_07_task_gradients_match_central_finite_differences():
     for name in ("matreg", "charlm"):
-        task = make_task(name, seed=0)
-        rng = np.random.default_rng(19)
-        params = task.init_params(np.random.default_rng(1))
-        batch = rng.choice(task.num_train, size=32, replace=False)
-        _, grads = task.loss_and_grads(params, batch)
-        worst = 0.0
-        checked = 0
-        for pname in sorted(params):
-            p = params[pname]
-            g = grads[pname]
-            floor = max(1e-3 * float(np.max(np.abs(g))), 1e-8)
-            for fi in rng.choice(p.size, size=min(120, p.size), replace=False):
-                idx = np.unravel_index(fi, p.shape)
-                h = 1e-5 * max(1.0, abs(float(p[idx])))
-                saved = float(p[idx])
-                p[idx] = saved + h
-                hi, _ = task.loss_and_grads(params, batch)
-                p[idx] = saved - h
-                lo, _ = task.loss_and_grads(params, batch)
-                p[idx] = saved
-                fd = (hi - lo) / (2.0 * h)
-                scale = max(abs(fd), abs(float(g[idx])), floor)
-                worst = max(worst, abs(fd - float(g[idx])) / scale)
-                checked += 1
-        print(f"{name}: {checked} coordinates, worst rel mismatch {worst:.2e}")
-        assert checked >= 100, name
-        assert worst <= GRADIENT_CHECK_TOL, name
+        print(verify.check_task_gradients(name, np.random.default_rng(19), coords=120))
 
 
 # the desk-scale stability/quality contract: the zero exponent widens the

@@ -112,17 +112,20 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, key, va
 def test_negative_seeds_are_user_errors(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TRAIN_CFG)
     out = tmp_path / "o"
+    run = ["--out-dir", str(out)]
     for argv in (
-        ["train", "--config", cfg, "--seed", "-1"],
-        ["train", "--config", cfg, "--set", "seed=-1"],
+        ["train", "--config", cfg, "--seed", "-1", *run],
+        ["train", "--config", cfg, "--set", "seed=-1", *run],
         ["train", "--config", write_cfg(tmp_path, TRAIN_CFG.replace("seed = 0", "seed = -1"),
-                                        "neg.cfg")],
-        ["sweep", "--config", write_cfg(tmp_path, SWEEP_CFG), "--seed", "-1"],
+                                        "neg.cfg"), *run],
+        ["sweep", "--config", write_cfg(tmp_path, SWEEP_CFG, "sweep.cfg"), "--seed", "-1", *run],
         ["verify", "--seed", "-1"],
     ):
-        assert main([*argv, "--out-dir", str(out)]) == EXIT_USER_ERROR, argv
+        assert main(argv) == EXIT_USER_ERROR, argv
+        err = capsys.readouterr().err
+        assert "must be >= 0, got -1" in err, argv  # refused for the seed, not another flag
+        assert "Traceback" not in err, argv
     assert not out.exists()
-    assert "Traceback" not in capsys.readouterr().err
 
 
 def _readme_config_rows() -> dict[str, str]:
@@ -264,6 +267,37 @@ def test_verify_reports_failures_at_starved_iteration_count(capsys):
 
 def test_verify_rejects_unknown_suite(capsys):
     assert main(["verify", "bogus"]) == EXIT_USER_ERROR
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_iters_must_be_a_positive_integer(tmp_path, capsys, value):
+    src = tmp_path / "in.mat"
+    write_matrix(src, FIXTURE5)
+    dst = tmp_path / "out.mat"
+    for argv in (
+        ["verify", "kernels", "--iters", value],
+        ["transform", str(src), str(dst), "--p", "0.5", "--iters", value],
+    ):
+        assert main(argv) == EXIT_USER_ERROR, argv
+        assert f"argument --iters: must be >= 1, got {value}" in capsys.readouterr().err
+    assert not dst.exists()
+
+
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys):
+    src = tmp_path / "in.mat"
+    write_matrix(src, FIXTURE5)
+    dst = tmp_path / "out.mat"
+    transform = ["transform", str(src), str(dst), "--p", "1"]
+    unread = (["--config", str(tmp_path / "nope.cfg")], ["--set", "bogus=1"],
+              ["--out-dir", str(tmp_path / "x")])
+    for argv in (
+        *(["verify", "optimizers", *flag] for flag in unread),
+        *([*transform, *flag] for flag in (*unread, ["--seed", "1"])),
+    ):
+        assert main(argv) == EXIT_USER_ERROR, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+    assert not dst.exists()
+    assert not (tmp_path / "x").exists()
 
 
 # --- train ------------------------------------------------------------------

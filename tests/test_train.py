@@ -10,6 +10,7 @@ import pytest
 
 from specopt.errors import ConfigError
 from specopt.optim import HyperParams, OptimizerState, parse_optimizer
+from specopt.sweep import SweepPlan
 from specopt.tasks import MatrixRegression
 from specopt.train import (
     COMPLETED,
@@ -78,6 +79,23 @@ def test_config_validation():
         matreg_config(divergence_threshold=0.0)
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         matreg_config(seed=-1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda v: matreg_config(divergence_threshold=v), id="divergence_threshold"),
+    pytest.param(lambda v: HyperParams(lr_mat=v), id="lr_mat"),
+    pytest.param(lambda v: HyperParams(lr_mat=0.01, lr_vec=v), id="lr_vec"),
+    pytest.param(lambda v: HyperParams(lr_mat=0.01, eps=v), id="eps"),
+    pytest.param(lambda v: SweepPlan(coarse_grid=(v,)), id="coarse_grid"),
+    pytest.param(lambda v: SweepPlan(coarse_grid=(0.01,), refine_factor_grid=(v,)),
+                 id="refine_factor_grid"),
+])
+def test_non_finite_fields_are_config_errors(build, value):
+    # the library path, not only the config-text parser: divergence_threshold = nan
+    # would switch the divergence check off, since loss > nan is always false
+    with pytest.raises(ConfigError, match="finite"):
+        build(value)
 
 
 def test_canonical_text_is_sorted_and_complete():

@@ -8,20 +8,20 @@ from specopt.verify import SUITE_NAMES, all_passed, format_table, run_suites
 
 def test_all_suites_pass_at_defaults():
     results = run_suites(["all"], seed=0)
-    assert len(results) == 14
+    assert len(results) == 9  # one per contract 01-06, vector-routing, one per task gradient
     assert all_passed(results)
     assert sorted({r.suite for r in results}) == sorted(SUITE_NAMES)
 
 
 def test_single_suite_selection():
     results = run_suites(["oracle"], seed=0)
-    assert len(results) == 3
+    assert len(results) == 2
     assert all(r.suite == "oracle" for r in results)
 
 
 def test_selectors_deduplicate():
     results = run_suites(["oracle", "all", "oracle"], seed=0)
-    assert len(results) == 14
+    assert len(results) == 9
 
 
 def test_unknown_selector_is_a_config_error():
@@ -40,11 +40,11 @@ def test_format_table_summarizes_counts():
     results = run_suites(["optimizers"], seed=0)
     table = format_table(results)
     assert "PASS" in table
-    assert table.strip().endswith("4/4 checks passed")
+    assert table.strip().endswith("2/2 checks passed")
     broken = run_suites(["kernels"], seed=0, iters=1)
     table = format_table(broken)
     assert "FAIL" in table
-    assert "0/5 checks passed" in table
+    assert "0/3 checks passed" in table
 
 
 def test_suites_are_deterministic_per_seed():
