@@ -22,10 +22,26 @@ raises its singular values to a power in {1, 1/2, 1/4, 0}:
 
 All kernels internally work with at least as many rows as columns,
 transposing at entry and exit when needed.
+
+Matmul counts, with n x n products on the small side n:
+
+    coupled pass, k updates   3k - 1 (Z_0 = I saves the first two products;
+                              the last one is the final residual's Z Y)
+    quintic, k steps          3k + 1 (Z^T Z, B^2 and the update per step,
+                              plus the final Z^T Z)
+    cubic polar               a coupled pass plus the Gram and output products
+    p = 1/2                   two coupled passes plus the Gram and output
+                              products: 3(k1 + k2) for k1 + k2 updates
+    p = 1/4                   two p = 1/2 transforms
+
+At the small shapes training uses (96x16, 32x24) an iteration is bound by
+numpy call overhead rather than by BLAS, so each loop makes as few numpy
+calls as it can while computing exactly the textbook iterates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -134,11 +150,6 @@ def _validate_input(m, name: str = "input") -> np.ndarray:
     return a
 
 
-def _check_finite(a: np.ndarray, what: str, diag: KernelDiagnostics) -> None:
-    if not np.all(np.isfinite(a)):
-        raise KernelDivergenceError(f"{what} produced non-finite values", diagnostics=diag)
-
-
 def polar_quintic(
     m: Matrix,
     iters: int = DEFAULT_POLAR_ITERS,
@@ -162,17 +173,15 @@ def polar_quintic(
     z = (a.T if transposed else a) / alpha
     n = z.shape[1]
     eye = np.eye(n)
+    a_eye = coeffs.a * eye
     residuals: list[float] = []
-    diag = KernelDiagnostics(0, alpha, None, residuals)
-    for k in range(iters):
+    b = z.T @ z
+    for k in range(1, iters + 1):
         # Z Z^T Z = Z (Z^T Z) keeps every product on the small side.
+        z = z @ (a_eye + coeffs.b * b + coeffs.c * (b @ b))
         b = z.T @ z
-        if k > 0:
-            residuals.append(float(np.linalg.norm(b - eye)))
-        z = z @ (coeffs.a * eye + coeffs.b * b + coeffs.c * (b @ b))
-        diag.iterations_run = k + 1
-        _check_finite(z, f"quintic iteration {k + 1}", diag)
-    residuals.append(float(np.linalg.norm(z.T @ z - eye)))
+        _residual(b, eye, "quintic", k, alpha, residuals)
+    diag = KernelDiagnostics(iters, alpha, None, residuals)
     return (z.T.copy() if transposed else z), diag
 
 
@@ -218,53 +227,81 @@ def polar_cubic(m: Matrix, iters: int = DEFAULT_CUBIC_ITERS) -> tuple[Matrix, Ke
     return (polar.T.copy() if transposed else polar), diag
 
 
+def _residual(
+    prod: np.ndarray, eye: np.ndarray, label: str, updates: int, alpha: float,
+    residuals: list[float],
+) -> float:
+    """Append ||prod - I||_F, evaluated exactly as np.linalg.norm evaluates it.
+
+    prod is a product of the current iterates (Z^T Z, or Z Y), and a
+    non-finite iterate always makes it non-finite, so this check stands in
+    for scanning the iterates after every update.
+    """
+    d = (prod - eye).ravel()
+    res = math.sqrt(d.dot(d))
+    if not math.isfinite(res):
+        raise KernelDivergenceError(
+            f"{label} iteration {updates} produced non-finite values",
+            diagnostics=KernelDiagnostics(updates, alpha, None, residuals),
+        )
+    residuals.append(res)
+    return res
+
+
 def _coupled_core(
     x: np.ndarray, iters: int, exit_tol: float, label: str
 ) -> tuple[np.ndarray, np.ndarray, float, list[float], int]:
-    """One coupled square-root pass on a symmetric positive definite matrix.
+    """One coupled square-root pass on an exactly symmetric matrix.
 
+    Callers validate and symmetrize ``x`` and ensure ``iters >= 1``.
     Returns the unscaled iterates (Y_K, Z_K), the normalizer alpha, the
     residual history and the number of updates performed. Callers fold the
     normalizer back: sqrt(alpha) Y_K estimates X^(1/2) and Z_K / sqrt(alpha)
     estimates X^(-1/2).
+
+    Each update is Y <- Y T, Z <- T Z with T = 3/2 I - 1/2 Z Y, which is
+    bit for bit the textbook (Y T', T' Z) / 2 with T' = 3 I - Z Y. Z starts
+    at I, so the first update needs one product (Z_1 = T) and k updates cost
+    3k - 1 matmuls, counting the final Z Y behind the last residual.
     """
-    n = x.shape[0]
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
+    alpha = float(np.linalg.norm(x))
+    if alpha == 0.0:
         raise DegenerateInputError(f"{label}: zero matrix has no square root")
-    if float(np.linalg.norm(x - x.T)) > _SYMMETRY_RTOL * norm:
-        raise PreconditionError(f"{label}: input is not symmetric within tolerance")
-    x = 0.5 * (x + x.T)
-    alpha = norm
+    eye = np.eye(x.shape[0])
+    eye_3_2 = 1.5 * eye
     y = x / alpha
-    z = np.eye(n)
-    eye = np.eye(n)
+    t = eye_3_2 - 0.5 * y
+    y = y @ t
+    z = t
+    updates = 1
     residuals: list[float] = []
-    updates = 0
-    diag = KernelDiagnostics(0, alpha, None, residuals)
-    while updates < iters:
+    while True:
         prod = z @ y
-        if updates > 0:
-            res = float(np.linalg.norm(prod - eye))
-            residuals.append(res)
-            # The product spectrum stays in (0, 1]; growth means blow-up.
-            if not np.isfinite(res) or res > residuals[0] * 2.0 + 10.0:
-                diag.iterations_run = updates
-                raise KernelDivergenceError(
-                    f"{label}: residual grew to {res:.3e}", diagnostics=diag
-                )
-            if res <= exit_tol:
-                break
-        t = 3.0 * eye - prod
-        y = 0.5 * (y @ t)
-        z = 0.5 * (t @ z)
+        res = _residual(prod, eye, label, updates, alpha, residuals)
+        if updates >= iters or res <= exit_tol:
+            return y, z, alpha, residuals, updates
+        # The product spectrum stays in (0, 1]; growth means blow-up.
+        if res > residuals[0] * 2.0 + 10.0:
+            raise KernelDivergenceError(
+                f"{label}: residual grew to {res:.3e}",
+                diagnostics=KernelDiagnostics(updates, alpha, None, residuals),
+            )
+        t = eye_3_2 - 0.5 * prod
+        y = y @ t
+        z = t @ z
         updates += 1
-        diag.iterations_run = updates
-        _check_finite(y, f"{label} iteration {updates}", diag)
-        _check_finite(z, f"{label} iteration {updates}", diag)
-    else:
-        residuals.append(float(np.linalg.norm(z @ y - eye)))
-    return y, z, alpha, residuals, updates
+
+
+def _symmetric_input(x: Matrix, what: str, iters: int, label: str) -> np.ndarray:
+    """Validate a square root's input and return it exactly symmetrized."""
+    a = _validate_input(x)
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError(f"{what} needs a square matrix, got {a.shape}")
+    if iters < 1:
+        raise PreconditionError(f"iteration count must be >= 1, got {iters}")
+    if float(np.linalg.norm(a - a.T)) > _SYMMETRY_RTOL * float(np.linalg.norm(a)):
+        raise PreconditionError(f"{label}: input is not symmetric within tolerance")
+    return 0.5 * (a + a.T)
 
 
 def coupled_ns_sqrt(
@@ -277,11 +314,7 @@ def coupled_ns_sqrt(
     iteration accuracy. Semi-definite input does not blow up, but the
     inverse factor is only meaningful on the range of X.
     """
-    a = _validate_input(x)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"square root needs a square matrix, got {a.shape}")
-    if iters < 1:
-        raise PreconditionError(f"iteration count must be >= 1, got {iters}")
+    a = _symmetric_input(x, "square root", iters, "coupled sqrt")
     y, z, alpha, residuals, updates = _coupled_core(a, iters, _COUPLED_EXIT, "coupled sqrt")
     root = float(np.sqrt(alpha))
     diag = KernelDiagnostics(updates, alpha, None, residuals, [residuals[-1]])
@@ -298,12 +331,12 @@ def coupled_ns_quarter(
     its square root. ``iters`` applies per pass; diagnostics concatenate
     both passes' residual histories and list each pass's final residual.
     """
-    a = _validate_input(x)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"quarter root needs a square matrix, got {a.shape}")
-    if iters < 1:
-        raise PreconditionError(f"iteration count must be >= 1, got {iters}")
-    y1, _, alpha, res1, up1 = _coupled_core(a, iters, _COUPLED_EXIT, "quarter pass 1")
+    return _quarter_core(_symmetric_input(x, "quarter root", iters, "quarter pass 1"), iters)
+
+
+def _quarter_core(x: np.ndarray, iters: int) -> tuple[Matrix, Matrix, KernelDiagnostics]:
+    """coupled_ns_quarter on an exactly symmetric ``x`` and ``iters >= 1``."""
+    y1, _, alpha, res1, up1 = _coupled_core(x, iters, _COUPLED_EXIT, "quarter pass 1")
     half = float(np.sqrt(alpha)) * y1
     half = 0.5 * (half + half.T)
     y2, z2, beta, res2, up2 = _coupled_core(half, iters, _COUPLED_EXIT, "quarter pass 2")
@@ -350,7 +383,6 @@ def spectral_transform(
     if exponent is SpectralExponent.ONE:
         return a.copy(), KernelDiagnostics(0, 1.0, None, [])
 
-    label = f"spectral transform p={exponent.power}"
     if exponent is SpectralExponent.ZERO:
         if zero_method not in ("quintic", "cubic"):
             raise PreconditionError(f"unknown zero-power method {zero_method!r}")
@@ -359,21 +391,34 @@ def spectral_transform(
                 return polar_quintic(a, iters if iters is not None else DEFAULT_POLAR_ITERS)
             return polar_cubic(a, iters if iters is not None else DEFAULT_CUBIC_ITERS)
         except ToolkitError as exc:
-            raise _tagged(exc, f"{label} method={zero_method}") from exc
+            raise _tagged(exc, f"spectral transform p=0.0 method={zero_method}") from exc
 
     k = iters if iters is not None else DEFAULT_COUPLED_ITERS
-    if exponent is SpectralExponent.HALF:
-        transposed = a.shape[0] < a.shape[1]
-        work = a.T if transposed else a
-        x = gram(work)
-        try:
-            _, inv_quarter, diag = coupled_ns_quarter(x, k)
-        except ToolkitError as exc:
-            raise _tagged(exc, label) from exc
-        out = work @ inv_quarter
-        return (out.T.copy() if transposed else out), diag
-
-    # QUARTER: compose the half transform with itself.
-    first, diag1 = spectral_transform(a, SpectralExponent.HALF, iters)
-    second, diag2 = spectral_transform(first, SpectralExponent.HALF, iters)
+    try:
+        if exponent is SpectralExponent.HALF:
+            return _half_transform(a, k)
+        # QUARTER: compose the half transform with itself.
+        first, diag1 = _half_transform(a, k)
+        second, diag2 = _half_transform(first, k)
+    except ToolkitError as exc:
+        raise _tagged(exc, "spectral transform p=0.5") from exc
     return second, _merge_diagnostics(diag1, diag2)
+
+
+def _half_transform(a: np.ndarray, iters: int) -> tuple[Matrix, KernelDiagnostics]:
+    """O (O^T O)^(-1/4) for a validated ``a``, on its smaller side.
+
+    The Gram matrix is exactly symmetric (dense.gram), so it goes to the
+    quarter root without coupled_ns_quarter's symmetry check. Its entries
+    can still overflow for a finite input with entries beyond about 1e154.
+    """
+    transposed = a.shape[0] < a.shape[1]
+    work = a.T if transposed else a
+    x = gram(work)
+    if not np.isfinite(x).all():
+        raise NonFiniteError("input contains NaN or Inf entries")
+    if iters < 1:
+        raise PreconditionError(f"iteration count must be >= 1, got {iters}")
+    _, inv_quarter, diag = _quarter_core(x, iters)
+    out = work @ inv_quarter
+    return (out.T.copy() if transposed else out), diag

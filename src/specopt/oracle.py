@@ -35,6 +35,8 @@ _TIGHT_REL = 1e-15
 _SWEEP_CAP = 50
 
 _SYMMETRY_RTOL = 1e-10
+# Rotation cotangents beyond this take the small-angle tangent 1 / (2 theta).
+_THETA_HUGE = 1e100
 
 
 @dataclass
@@ -96,7 +98,13 @@ def jacobi_eigh(s: Matrix, sweep_cap: int = _SWEEP_CAP) -> tuple[np.ndarray, np.
                     continue
                 theta = (a[q, q] - a[p, p]) / (2.0 * apq)
                 sign = 1.0 if theta >= 0.0 else -1.0
-                t = sign / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                size = abs(theta)
+                if size > _THETA_HUGE:
+                    # sqrt(theta^2 + 1) already rounds to |theta| here, and
+                    # theta^2 would overflow past about 1e154.
+                    t = sign * 0.5 / size
+                else:
+                    t = sign / (size + np.sqrt(theta * theta + 1.0))
                 c = 1.0 / np.sqrt(t * t + 1.0)
                 sn = t * c
                 # A <- J^T A J applied as column then row combinations.

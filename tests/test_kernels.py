@@ -154,9 +154,13 @@ def test_cubic_wide_input_transpose_convention():
 
 
 def test_cubic_rejects_rank_deficiency_and_zero():
-    with pytest.raises(KernelDivergenceError) as info:
+    with pytest.raises(KernelDivergenceError, match="residual stuck") as info:
         polar_cubic(np.ones((6, 4)))
-    assert info.value.diagnostics is not None
+    diag = info.value.diagnostics
+    assert diag.iterations_run == 40
+    assert len(diag.residual_per_iter) == 40
+    assert diag.pass_residuals == [diag.residual_per_iter[-1]] == [1.7320508074436978]
+    assert diag.scale_alpha == 1.0 / 24.0
     with pytest.raises(DegenerateInputError):
         polar_cubic(np.zeros((4, 4)))
 
@@ -344,3 +348,124 @@ def test_transform_reports_an_unconverged_pass_behind_a_converged_one():
     assert quarter.residual_per_iter[-1] < 1e-12
     assert quarter.pass_residuals[-1] == quarter.residual_per_iter[-1]
     assert quarter.pass_residuals[0] > 1.0
+
+
+# --- bit-for-bit pin against the textbook loops ----------------------------
+
+
+def _ref_coupled(x, iters, exit_tol):
+    """Coupled Newton pass as written in the textbook: Z_0 = I,
+    T = 3 I - Z Y, Y <- Y T / 2, Z <- T Z / 2."""
+    eye = np.eye(x.shape[0])
+    alpha = float(np.linalg.norm(x))
+    y, z = x / alpha, eye
+    residuals, updates = [], 0
+    while updates < iters:
+        prod = z @ y
+        if updates > 0:
+            residuals.append(float(np.linalg.norm(prod - eye)))
+            if residuals[-1] <= exit_tol:
+                break
+        t = 3.0 * eye - prod
+        y = 0.5 * (y @ t)
+        z = 0.5 * (t @ z)
+        updates += 1
+    else:
+        residuals.append(float(np.linalg.norm(z @ y - eye)))
+    return y, z, alpha, residuals, updates
+
+
+def _ref_half(a, iters=15):
+    work = a.T if a.shape[0] < a.shape[1] else a
+    x = work.T @ work
+    x = 0.5 * (x + x.T)
+    y1, _, alpha, res1, up1 = _ref_coupled(x, iters, 1e-14)
+    half = np.sqrt(alpha) * y1
+    half = 0.5 * (half + half.T)
+    _, z2, beta, res2, up2 = _ref_coupled(half, iters, 1e-14)
+    out = work @ (z2 / np.sqrt(beta))
+    return (out.T if work is not a else out), (up1 + up2, alpha, beta, res1 + res2,
+                                               [res1[-1], res2[-1]])
+
+
+def _ref_quarter(a):
+    first, d1 = _ref_half(a)
+    second, d2 = _ref_half(first)
+    return second, (d1[0] + d2[0], d1[1], d2[2], d1[3] + d2[3], d1[4] + d2[4])
+
+
+def _ref_quintic(a, iters=5, a_=3.4445, b_=-4.7750, c_=2.0315):
+    """Z <- Z (a I + b B + c B^2) with B = Z^T Z, on the tall side."""
+    work = a.T if a.shape[0] < a.shape[1] else a
+    alpha = float(np.linalg.norm(work))
+    z = work / alpha
+    eye = np.eye(z.shape[1])
+    residuals = []
+    for k in range(iters):
+        b = z.T @ z
+        if k > 0:
+            residuals.append(float(np.linalg.norm(b - eye)))
+        z = z @ (a_ * eye + b_ * b + c_ * (b @ b))
+    residuals.append(float(np.linalg.norm(z.T @ z - eye)))
+    return (z.T if work is not a else z), (iters, alpha, None, residuals, [])
+
+
+def _ref_cubic(a, iters=40):
+    work = a.T if a.shape[0] < a.shape[1] else a
+    x = work.T @ work
+    x = 0.5 * (x + x.T)
+    _, z, xnorm, residuals, updates = _ref_coupled(x, iters, 1e-12)
+    diag = (updates, 1.0 / xnorm, None, residuals, [residuals[-1]])
+    if residuals[-1] > 0.5:
+        return None, diag
+    out = (work @ z) / np.sqrt(xnorm)
+    return (out.T if work is not a else out), diag
+
+
+def _pin_inputs():
+    rng = np.random.default_rng(2024)
+    for r, c in ((32, 24), (96, 16), (16, 96), (128, 128)):
+        for cond in (1e2, 1e4, 1e6):
+            yield f"{r}x{c}@{cond:g}", spectrum_matrix(rng, r, c, cond)
+    yield "128x128@rank64", rng.standard_normal((128, 64)) @ rng.standard_normal((64, 128)) / 64
+
+
+@pytest.mark.parametrize("p,method,reference", [
+    (SpectralExponent.HALF, "quintic", _ref_half),
+    (SpectralExponent.QUARTER, "quintic", _ref_quarter),
+    (SpectralExponent.ZERO, "quintic", _ref_quintic),
+    (SpectralExponent.ZERO, "cubic", _ref_cubic),
+])
+def test_kernels_match_the_textbook_loops_bit_for_bit(p, method, reference):
+    # The kernels skip the products with Z_0 = I, fold the 1/2 into T and
+    # scan no iterate for non-finite values; none of that may move a bit.
+    for label, a in _pin_inputs():
+        want, fields = reference(a)
+        try:
+            got, diag = spectral_transform(a, p, zero_method=method)
+        except KernelDivergenceError as exc:
+            got, diag = None, exc.diagnostics
+        if want is None:
+            assert got is None, label
+        else:
+            assert np.array_equal(got, want), label
+            assert np.array_equal(np.signbit(got), np.signbit(want)), label
+        iterations, alpha, beta, residuals, passes = fields
+        assert diag.iterations_run == iterations, label
+        assert np.array_equal(diag.scale_alpha, alpha), label
+        assert np.array_equal(diag.scale_beta, beta), label
+        assert np.array_equal(diag.residual_per_iter, residuals), label
+        assert np.array_equal(diag.pass_residuals, passes), label
+
+
+@pytest.mark.parametrize("x,updates,residuals", [
+    (np.diag([1.0, -1.0]), 2, [3.4301056835030606, 18.903398360213288]),
+    (np.diag([1.0, -0.3, 0.2]), 3, [1.8687939185810034, 3.703842618192371, 22.718362500140714]),
+])
+def test_coupled_divergence_reports_are_pinned(x, updates, residuals):
+    with pytest.raises(KernelDivergenceError, match="residual grew") as info:
+        coupled_ns_sqrt(x)
+    diag = info.value.diagnostics
+    assert diag.iterations_run == updates
+    assert diag.residual_per_iter == residuals
+    assert diag.pass_residuals == []

@@ -5,6 +5,8 @@ tests use only hand-derived values, numpy's independent SVD, and algebraic
 identities.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,18 @@ def test_jacobi_eigenpairs_reconstruct():
     assert np.all(np.diff(vals) <= 0.0)
     assert orth_defect(vecs) <= 1e-12
     assert np.linalg.norm((vecs * vals) @ vecs.T - s) <= 1e-12 * np.linalg.norm(s)
+
+
+def test_jacobi_takes_a_tiny_pivot_without_overflow():
+    # theta = (a_qq - a_pp) / (2 a_pq) reaches 5e159 on the (0, 1) pivot;
+    # squaring it would overflow.
+    a = np.array([[1.0, 1e-160, 0.5], [1e-160, 2.0, 0.0], [0.5, 0.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, vecs = jacobi_eigh(a)
+    assert np.allclose(vals, np.linalg.eigvalsh(a)[::-1], rtol=0.0, atol=1e-14)
+    assert orth_defect(vecs) <= 1e-14
+    assert np.linalg.norm((vecs * vals) @ vecs.T - a) <= 1e-14
 
 
 def test_jacobi_input_validation():
