@@ -31,19 +31,21 @@ _GELU_K = 0.044715
 _LOSS_BLOCK_ROWS = 512  # rows per forward pass when a loss covers a whole split
 
 
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gelu(x: np.ndarray, bufs=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """tanh-GELU (Hendrycks & Gimpel, 2016), with what its derivative reuses.
 
-    Returns (gelu(x), x*x, tanh(inner)). The cube is x2 * x rather than
+    Returns (gelu(x), x*x, tanh(inner)), written into ``bufs`` (three arrays
+    shaped like x, in that order) when given. The cube is x2 * x rather than
     x ** 3, which numpy evaluates through libm pow at several times the cost.
     """
-    x2 = x * x
-    th = x2 * x
+    out, x2, th = bufs if bufs is not None else (np.empty_like(x) for _ in range(3))
+    np.multiply(x, x, out=x2)
+    np.multiply(x2, x, out=th)
     th *= _GELU_K
     th += x
     th *= _GELU_C
     np.tanh(th, out=th)
-    out = 1.0 + th
+    np.add(th, 1.0, out=out)
     out *= x
     out *= 0.5
     return out, x2, th
@@ -119,9 +121,9 @@ class MatrixRegression:
         w = params["W"]
         a = self.a_map[rows]
         c = self.targets[rows]
-        resid = a @ w @ self.b_map - c
+        resid = a.dot(w).dot(self.b_map) - c
         loss = 0.5 * float(np.sum(resid * resid)) / len(rows)
-        grad = (a.T @ resid @ self.b_map.T) / len(rows)
+        grad = a.T.dot(resid).dot(self.b_map.T) / len(rows)
         return loss, {"W": grad}
 
     def loss_and_grads(self, params, indices):
@@ -184,22 +186,34 @@ class CharMlp:
         tgt = self.data[positions + self.context]
         return ctx, tgt
 
-    def _forward(self, params, ctx):
-        """Forward pass over a batch of contexts.
+    def _buffers(self, rows: int) -> list[np.ndarray]:
+        """The arrays _forward writes a pass of up to ``rows`` rows into."""
+        feat = self.context * self.emb_dim
+        return [np.empty((rows, n)) for n in (feat,) + (self.hidden,) * 4 + (VOCAB_SIZE,) * 2]
 
-        Returns the features x, the hidden pre-activation z1 with the x*x
-        and tanh that the GELU derivative reuses, the hidden activations h,
-        the logits shifted by their row max, and each row's log-sum-exp of
-        the shifted logits (shape (B, 1)).
+    def _forward(self, params, ctx, bufs):
+        """Forward pass over a batch of contexts, written into ``bufs``.
+
+        ``bufs`` is _buffers(len(ctx)), or the first len(ctx) rows of a
+        larger set. Returns the features x, the hidden pre-activation z1
+        with the x*x and tanh that the GELU derivative reuses, the hidden
+        activations h, the logits shifted by their row max, and each row's
+        log-sum-exp of the shifted logits (shape (B, 1)).
         """
-        batch = ctx.shape[0]
-        emb = params["embed"][ctx]                      # (B, T, D)
-        x = emb.reshape(batch, -1)                      # (B, T*D)
-        z1 = x @ params["W1"].T + params["b1"]
-        h, z1_sq, th = _gelu(z1)
-        z2 = h @ params["W2"].T + params["b2"]
-        shifted = z2 - z2.max(axis=1, keepdims=True)
-        logsum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        x, z1, h, z1_sq, th, shifted, expo = bufs
+        # ctx holds symbols 0..VOCAB_SIZE-1, so "clip" never clips; unlike
+        # the default "raise", it lets take write straight into x.
+        np.take(params["embed"], ctx, axis=0, mode="clip",
+                out=x.reshape(ctx.shape + (self.emb_dim,)))
+        x.dot(params["W1"].T, out=z1)
+        z1 += params["b1"]
+        _gelu(z1, (h, z1_sq, th))
+        h.dot(params["W2"].T, out=shifted)
+        shifted += params["b2"]
+        shifted -= shifted.max(axis=1, keepdims=True)
+        np.exp(shifted, out=expo)
+        logsum = expo.sum(axis=1, keepdims=True)
+        np.log(logsum, out=logsum)
         return x, z1, z1_sq, th, h, shifted, logsum
 
     @staticmethod
@@ -208,11 +222,15 @@ class CharMlp:
         return shifted[np.arange(len(tgt)), tgt] - logsum[:, 0]
 
     def _loss(self, params, positions) -> float:
-        # Fixed row blocks keep the temporaries of a full-split pass small.
+        # Fixed row blocks keep the arrays of a full-split pass small, and
+        # every block reuses one set: fresh arrays per block made glibc hand
+        # their pages back to the OS and fault them in again (5.9k minor
+        # faults an eval row, against 1.4k with one set per call).
+        bufs = self._buffers(min(len(positions), _LOSS_BLOCK_ROWS))
         total = 0.0
         for start in range(0, len(positions), _LOSS_BLOCK_ROWS):
             ctx, tgt = self._batch(positions[start:start + _LOSS_BLOCK_ROWS])
-            *_, shifted, logsum = self._forward(params, ctx)
+            *_, shifted, logsum = self._forward(params, ctx, [b[:len(tgt)] for b in bufs])
             total += float(self._target_logp(shifted, logsum, tgt).sum())
         return -total / len(positions)
 
@@ -220,19 +238,19 @@ class CharMlp:
         positions = self._train_positions[np.asarray(indices)]
         ctx, tgt = self._batch(positions)
         batch = ctx.shape[0]
-        x, z1, z1_sq, th, h, shifted, logsum = self._forward(params, ctx)
+        x, z1, z1_sq, th, h, shifted, logsum = self._forward(params, ctx, self._buffers(batch))
         loss = -float(self._target_logp(shifted, logsum, tgt).mean())
 
         dz2 = np.exp(shifted - logsum)
         dz2[np.arange(batch), tgt] -= 1.0
         dz2 /= batch
-        grad_w2 = dz2.T @ h
+        grad_w2 = dz2.T.dot(h)
         grad_b2 = dz2.sum(axis=0)
-        dh = dz2 @ params["W2"]
+        dh = dz2.dot(params["W2"])
         dz1 = dh * _gelu_grad(z1, z1_sq, th)
-        grad_w1 = dz1.T @ x
+        grad_w1 = dz1.T.dot(x)
         grad_b1 = dz1.sum(axis=0)
-        dx = dz1 @ params["W1"]
+        dx = dz1.dot(params["W1"])
         # Scatter-add into the embedding rows: bincount sums in the same
         # order as np.add.at, at a fraction of its cost.
         embed = params["embed"]

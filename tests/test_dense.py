@@ -50,6 +50,49 @@ def test_frobenius_norm_values():
     assert frobenius_norm(as_matrix([[3.0, 4.0]])) == 5.0
 
 
+def test_frobenius_norm_keeps_numpy_bits_and_survives_overflow():
+    rng = np.random.default_rng(8)
+    for a in (rng.standard_normal((7, 5)), 1e150 * rng.standard_normal((4, 3)),
+              1e-160 * rng.standard_normal((3, 3)), rng.standard_normal((6, 4)).T):
+        assert frobenius_norm(a) == float(np.linalg.norm(a))
+    # Past about 1.3e154 the sum of squares overflows though the norm is
+    # finite; tier-1 turns numpy's overflow warning into an error.
+    assert frobenius_norm(np.diag([1e300, 1.0])) == 1e300
+    assert frobenius_norm(np.diag([-1e300, 1e300])) == 1e300 * np.sqrt(2.0)
+    assert frobenius_norm(np.full((2, 2), 1.5e308)) == np.inf
+    assert frobenius_norm(np.array([[np.inf, 1.0]])) == np.inf
+
+
+# Every product on the per-step path is written a.dot(b) rather than a @ b,
+# relying on both reaching the same BLAS call. Each form the kernels and the
+# tasks use, at the shapes they see, from single rows and columns up.
+_DOT_FORMS = {
+    "plain": lambda w, b, c, d: (w @ b, w.dot(b)),
+    "gram-tall": lambda w, b, c, d: (w.T @ w, w.T.dot(w)),
+    "gram-wide": lambda w, b, c, d: (w @ w.T, w.dot(w.T)),
+    # charlm's backward pass (dz2.T @ h, dz1.T @ x) and matreg's a.T @ resid
+    "lhs-transposed": lambda w, b, c, d: (w.T @ d, w.T.dot(d)),
+    # charlm's forward x @ W1.T and matreg's (a.T @ resid) @ b_map.T
+    "rhs-transposed": lambda w, b, c, d: (w @ c.T, w.dot(c.T)),
+}
+_DOT_SHAPES = [(1, 24), (24, 1), (1, 1), (16, 16), (96, 16), (16, 96), (24, 24),
+               (32, 24), (96, 96), (128, 128), (96, 128), (256, 256), (512, 256)]
+
+
+@pytest.mark.parametrize("form", sorted(_DOT_FORMS))
+def test_dot_matches_matmul_bit_for_bit(form):
+    rng = np.random.default_rng(11)
+    for rows, cols in _DOT_SHAPES:
+        w = rng.standard_normal((rows, cols))
+        for n in (1, cols, 16):
+            b = rng.standard_normal((cols, n))
+            c = rng.standard_normal((n, cols))
+            d = rng.standard_normal((rows, n))
+            want, got = _DOT_FORMS[form](w, b, c, d)
+            assert want.shape == got.shape
+            assert want.tobytes() == got.tobytes(), (form, rows, cols, n)
+
+
 def test_as_matrix_reshape_and_validation():
     a = as_matrix([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], rows=2, cols=3)
     assert a.shape == (2, 3)

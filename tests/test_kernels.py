@@ -350,6 +350,41 @@ def test_transform_reports_an_unconverged_pass_behind_a_converged_one():
     assert quarter.pass_residuals[0] > 1.0
 
 
+# --- norms past the float range ---------------------------------------------
+# A norm past about 1.3e154 overflows the sum of squares. Each case ran on a
+# normalizer of inf (NaN output, or a silent zero matrix) with a RuntimeWarning,
+# which tier-1 turns into an error. Enough iterations reach the exact answer.
+
+
+def test_coupled_sqrt_normalizes_past_the_float_range():
+    y, z, diag = coupled_ns_sqrt(np.diag([1e300, 1.0]), iters=1000)
+    assert diag.scale_alpha == 1e300
+    assert diag.pass_residuals[0] < 1e-14
+    assert np.allclose(y, np.diag([1e150, 1.0]), rtol=1e-14, atol=0.0)
+    assert np.allclose(z, np.diag([1e-150, 1.0]), rtol=1e-14, atol=0.0)
+
+
+def test_quintic_normalizes_past_the_float_range():
+    # The exact polar factor is I; the quintic lands in its band around it.
+    out, diag = polar_quintic(np.diag([1e300, 1.0]), iters=600)
+    assert diag.scale_alpha == 1e300
+    assert out[0, 1] == 0.0 and out[1, 0] == 0.0
+    lo, hi = QUINTIC_SV_BAND
+    assert lo < out[0, 0] < hi and lo < out[1, 1] < hi
+    # At the default budget it runs the iterates of diag(1, 1e-300) exactly.
+    got, _ = polar_quintic(np.diag([1e300, 1.0]))
+    want, _ = polar_quintic(np.diag([1.0, 1e-300]))
+    assert np.array_equal(got, want)
+
+
+def test_transform_normalizes_a_gram_past_the_float_range():
+    # The Gram diag(1e200, 1, 4) is finite; its norm is not.
+    out, diag = spectral_transform(np.diag([1e100, 1.0, 2.0]), SpectralExponent.HALF, iters=1000)
+    assert diag.scale_alpha == 1e200
+    want = np.diag([1e50, 1.0, np.sqrt(2.0)])
+    assert np.allclose(out, want, rtol=1e-14, atol=0.0)
+
+
 # --- bit-for-bit pin against the textbook loops ----------------------------
 
 

@@ -239,6 +239,45 @@ def test_charlm_blocked_losses_match_one_shot_pass(corpus):
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def per_block_reference_loss(task, params, positions):
+    """The blocked loss written with fresh arrays and @ in every block."""
+    total = 0.0
+    for start in range(0, len(positions), 512):  # the block size fixes the summation order
+        block = positions[start:start + 512]
+        ctx = task.data[block[:, None] + np.arange(task.context)]
+        tgt = task.data[block + task.context]
+        x = params["embed"][ctx].reshape(len(block), -1)
+        z1 = x @ params["W1"].T + params["b1"]
+        th = z1 * z1 * z1
+        th *= _GELU_K
+        th += z1
+        th *= _GELU_C
+        np.tanh(th, out=th)
+        h = 1.0 + th
+        h *= z1
+        h *= 0.5
+        z2 = h @ params["W2"].T + params["b2"]
+        shifted = z2 - z2.max(axis=1, keepdims=True)
+        logsum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        total += float((shifted[np.arange(len(tgt)), tgt] - logsum[:, 0]).sum())
+    return -total / len(positions)
+
+
+def test_charlm_losses_reuse_one_workspace_bit_for_bit():
+    task = CharMlp(0)
+    # Both splits end in a short block: 5266 = 10 * 512 + 146, 585 = 512 + 73.
+    assert (task.num_train, len(task._eval_positions)) == (5266, 585)
+    rng = np.random.default_rng(3)
+    params = task.init_params(rng)
+    for step in range(4):
+        assert task.train_loss(params) == per_block_reference_loss(
+            task, params, task._train_positions), step
+        assert task.eval_loss(params) == per_block_reference_loss(
+            task, params, task._eval_positions), step
+        _, grads = task.loss_and_grads(params, rng.choice(task.num_train, 64, replace=False))
+        params = {name: p - 0.5 * grads[name] for name, p in params.items()}
+
+
 def test_charlm_loss_is_deterministic():
     task = small_charlm()
     params = task.init_params(np.random.default_rng(0))
