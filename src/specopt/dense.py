@@ -7,19 +7,47 @@ product) with the same operands and give the same bits, but ``dot``
 skips the matmul ufunc's dispatch, about 1.2 us a product, over a third
 of a 24x24 product's cost. The accumulation order is fixed by the BLAS
 build, so identical inputs give bit-identical outputs on the same
-platform, which is the determinism contract the training harness relies
-on.
+platform and BLAS thread count, which is the determinism contract the
+training harness relies on.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 
 from .errors import MatrixFormatError, NonFiniteError, ShapeError
 
 Matrix = np.ndarray
+
+
+def blas_threads() -> int | None:
+    """Threads each BLAS call may use now, as numpy's bundled OpenBLAS
+    reports it; None when numpy's BLAS is not one this can ask."""
+    getter = _openblas_thread_getter()
+    return None if getter is None else int(getter())
+
+
+@functools.cache
+def _openblas_thread_getter():
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                getter.argtypes = []
+                return getter
+    return None
 
 
 def as_matrix(data, rows: int | None = None, cols: int | None = None) -> Matrix:

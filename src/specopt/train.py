@@ -6,14 +6,25 @@ CONFIG_FIELDS is the one list of config keys: each key's attribute, text
 parser, canonical rendering and the word that stands for None. The
 canonical rendering of a config (sorted "key = value" lines) is hashed into
 a digest that every output artifact embeds, and replaying the same config
-bit-reproduces every recorded row on the same platform. Wall time is kept
-on the record object but never serialized, so output files stay byte-stable.
+bit-reproduces every recorded row on the same platform and BLAS thread
+count. Wall time is kept on the record object but never serialized, so
+output files stay byte-stable.
+
+The matrix parameters' steps share nothing within a step, so when the
+exponent is not one, the run has two or more matrix parameters and the
+process may use two or more CPUs with one BLAS thread each, the costliest
+of them step on helper threads while the calling thread steps the rest
+(see _step_params). Each step is the same computation on the same inputs
+whichever thread runs it, so a run's rows do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import math
+import os
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -21,7 +32,9 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
+from .dense import blas_threads
 from .errors import ConfigError, ToolkitError
+from .kernels import SpectralExponent
 from .optim import (
     HyperParams,
     InputKind,
@@ -285,12 +298,96 @@ def _safe_loss(fn) -> float:
     return float(value)
 
 
+def step_lanes() -> int:
+    """How many matrix steps may run at once: the CPUs this process may use
+    when each BLAS call runs on one thread, else 1.
+
+    A BLAS that spreads each product over the CPUs leaves a helper thread
+    none to use: on 2 CPUs with two OpenBLAS threads, concurrent steps made
+    charlm's p = 1/2, 1/4 and 0 runs 20-35 % slower. An unknown BLAS thread
+    count counts as more than one.
+    """
+    if blas_threads() != 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _offloaded(params: Mapping[str, np.ndarray], matrix_names: list[str],
+               exponent: SpectralExponent) -> list[str]:
+    """The matrix parameters that step on helper threads, costliest first.
+
+    One per helper, with one lane left to the calling thread. Every kernel
+    product is n x n on a matrix's small side n, so a step costs about n
+    cubed; ties go by name. The identity exponent runs no kernel, so its
+    steps stay on the calling thread.
+    """
+    if exponent is SpectralExponent.ONE or len(matrix_names) < 2:
+        return []
+    helpers = min(step_lanes(), len(matrix_names)) - 1
+    return sorted(matrix_names, key=lambda name: (-min(params[name].shape), name))[:helpers]
+
+
+def _step_pool(helpers: int):
+    """A thread pool of ``helpers`` threads, or no pool when there are none."""
+    if not helpers:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor  # costs ms to import; most runs need none
+
+    return ThreadPoolExecutor(helpers, thread_name_prefix="specopt-step")
+
+
+def _step_params(params, grads, states, matrix_names, offloaded, pool, optimizer, hp) -> None:
+    """One step of every parameter, assigned in sorted name order.
+
+    The offloaded matrix parameters step on the pool, each in a copy of the
+    caller's context (numpy's error state is a context variable), while the
+    calling thread steps the other matrix parameters; only then does it wait
+    for the helpers. The new values, and the vector steps, are then assigned
+    name by name. A step that raised re-raises at its name's turn, so the
+    names before it are stepped and the ones after it keep their old values,
+    as in one serial pass.
+    """
+    def matrix_step(name):
+        return step_matrix_param(params[name], grads[name], states[name],
+                                 optimizer, hp, param_name=name)
+
+    futures = {name: pool.submit(contextvars.copy_context().run, matrix_step, name)
+               for name in offloaded}
+    outcomes = {}
+    for name in matrix_names:
+        if name not in futures:
+            try:
+                outcomes[name] = matrix_step(name)
+            except Exception as exc:  # re-raised at its turn; later names are not assigned
+                outcomes[name] = exc
+                break
+    for name, future in futures.items():
+        try:
+            outcomes[name] = future.result()
+        except Exception as exc:
+            outcomes[name] = exc
+    for name in sorted(params):
+        if name not in matrix_names:
+            params[name], states[name] = step_vector_param(
+                params[name], grads[name], states[name], hp, param_name=name,
+            )
+            continue
+        outcome = outcomes[name]
+        if isinstance(outcome, Exception):
+            raise outcome
+        params[name], states[name], _ = outcome
+
+
 def run_training(cfg: TrainConfig) -> RunRecord:
     """Execute one run and return its record.
 
     Divergence (non-finite loss, loss above the threshold, or a kernel/
     gradient error inside a step) ends the run with outcome "diverged" and
-    a final row carrying the offending loss; it never raises.
+    a final row carrying the offending loss; it never raises. Any helper
+    threads the run's steps use are shut down before it returns.
     """
     start = time.perf_counter()
     task = make_task(cfg.task, cfg.seed, cfg.corpus_path)
@@ -298,12 +395,13 @@ def run_training(cfg: TrainConfig) -> RunRecord:
     batch_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 2])))
     params = task.init_params(init_rng)
 
-    matrix_names = [n for n, p in params.items() if p.ndim == 2 and min(p.shape) > 1]
+    matrix_names = sorted(n for n, p in params.items() if p.ndim == 2 and min(p.shape) > 1)
     need_v = cfg.optimizer.base is InputKind.RMS_NORMALIZED
     states = {
         name: OptimizerState.initial(p, need_v if name in matrix_names else True)
         for name, p in params.items()
     }
+    offloaded = _offloaded(params, matrix_names, cfg.optimizer.exponent)
 
     initial_loss = task.train_loss(params)
     threshold = cfg.divergence_threshold
@@ -313,40 +411,32 @@ def run_training(cfg: TrainConfig) -> RunRecord:
     record.rows.append(EvalRow(0, initial_loss, task.eval_loss(params), 0.0))
 
     batches = _BatchStream(task.num_train, cfg.batch_size, batch_rng)
-    for step in range(1, cfg.total_steps + 1):
-        lr_eff = float(lr_at(cfg, step))
-        hp_step = replace(cfg.hp, lr_mat=lr_eff)
-        indices = batches.next()
-        diverged = False
-        try:
-            loss, grads = task.loss_and_grads(params, indices)
-            if not np.isfinite(loss) or loss > threshold:
+    with _step_pool(len(offloaded)) as pool:
+        for step in range(1, cfg.total_steps + 1):
+            lr_eff = float(lr_at(cfg, step))
+            hp_step = replace(cfg.hp, lr_mat=lr_eff)
+            indices = batches.next()
+            diverged = False
+            try:
+                loss, grads = task.loss_and_grads(params, indices)
+                if not np.isfinite(loss) or loss > threshold:
+                    diverged = True
+                else:
+                    _step_params(params, grads, states, matrix_names, offloaded, pool,
+                                 cfg.optimizer, hp_step)
+            except ToolkitError:
+                loss = float("nan")
                 diverged = True
-            else:
-                for name in sorted(params):
-                    if name in matrix_names:
-                        params[name], states[name], _ = step_matrix_param(
-                            params[name], grads[name], states[name],
-                            cfg.optimizer, hp_step, param_name=name,
-                        )
-                    else:
-                        params[name], states[name] = step_vector_param(
-                            params[name], grads[name], states[name],
-                            hp_step, param_name=name,
-                        )
-        except ToolkitError:
-            loss = float("nan")
-            diverged = True
-        if diverged:
-            record.outcome = DIVERGED
-            record.diverged_step = step
-            record.rows.append(
-                EvalRow(step, float(loss), _safe_loss(lambda: task.eval_loss(params)), lr_eff)
-            )
-            break
-        if step % cfg.eval_every == 0 or step == cfg.total_steps:
-            record.rows.append(
-                EvalRow(step, task.train_loss(params), task.eval_loss(params), lr_eff)
-            )
+            if diverged:
+                record.outcome = DIVERGED
+                record.diverged_step = step
+                record.rows.append(
+                    EvalRow(step, float(loss), _safe_loss(lambda: task.eval_loss(params)), lr_eff)
+                )
+                break
+            if step % cfg.eval_every == 0 or step == cfg.total_steps:
+                record.rows.append(
+                    EvalRow(step, task.train_loss(params), task.eval_loss(params), lr_eff)
+                )
     record.wall_time = time.perf_counter() - start
     return record

@@ -5,11 +5,18 @@ plain adam case and demands bit-identical recorded rows, which pins the
 batch order, the schedule, and the update arithmetic all at once.
 """
 
+import os
+import subprocess
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
-from specopt.errors import ConfigError
-from specopt.optim import HyperParams, OptimizerState, parse_optimizer
+from specopt import train
+from specopt.errors import ConfigError, KernelDivergenceError
+from specopt.optim import ALL_OPTIMIZERS, HyperParams, OptimizerState, parse_optimizer
 from specopt.sweep import SweepPlan
 from specopt.tasks import MatrixRegression
 from specopt.train import (
@@ -271,3 +278,180 @@ def test_adam_run_matches_a_from_scratch_reimplementation():
         assert got.train_loss == want[1]
         assert got.eval_loss == want[2]
         assert got.lr_mat_effective == want[3]
+
+
+# --- concurrent matrix steps ------------------------------------------------
+
+SPECTRAL = [kind.token for kind in ALL_OPTIMIZERS if kind.exponent.value != "one"]
+# A peak matrix rate inside each optimizer's stable region on charlm; 300x it diverges.
+CHARLM_LR = {"msgds": 0.3, "msgdq": 0.1, "msgdz": 0.03, "adams": 0.01, "adamq": 0.01,
+             "adamz": 0.03}
+
+
+def charlm_config(token, lr, **overrides):
+    base = dict(task="charlm", optimizer=parse_optimizer(token),
+                hp=HyperParams(lr_mat=lr, lr_vec=lr), total_steps=12, warmup_steps=3,
+                batch_size=64, eval_every=4, seed=0)
+    base.update(overrides)
+    return TrainConfig(**base)
+
+
+def step_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("specopt-step")]
+
+
+def test_steps_run_concurrently_only_with_one_blas_thread_per_call():
+    probe = "from specopt import train; print(train.blas_threads(), train.step_lanes())"
+    for threads, lanes in ((1, len(os.sched_getaffinity(0))), (2, 1)):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout.split()
+        assert out[1] == str(lanes)
+        if lanes > 1:
+            assert out[0] == "1"
+
+
+def test_the_costliest_matrices_go_to_helpers(monkeypatch):
+    shapes = {"a": (8, 8), "b": (8, 8), "c": (4, 90), "w": (9, 3)}
+    params = {name: np.zeros(shape) for name, shape in shapes.items()}
+    names = sorted(params)
+    for lanes, want in ((1, []), (2, ["a"]), (3, ["a", "b"]), (4, ["a", "b", "c"]),
+                        (9, ["a", "b", "c"])):
+        monkeypatch.setattr(train, "step_lanes", lambda: lanes)
+        assert train._offloaded(params, names, parse_optimizer("adams").exponent) == want
+        assert train._offloaded(params, names, parse_optimizer("adam").exponent) == []
+    assert train._offloaded(params, ["a"], parse_optimizer("adams").exponent) == []
+
+
+def run_on(monkeypatch, lanes, cfg):
+    monkeypatch.setattr(train, "step_lanes", lambda: lanes)
+    before = threading.active_count()
+    record = run_training(cfg)
+    assert threading.active_count() == before and not step_threads()
+    return record
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Count the step pools runs create, by their helper counts."""
+    from concurrent import futures
+
+    made = []
+    real = futures.ThreadPoolExecutor
+
+    def counting(helpers, **kwargs):
+        made.append(helpers)
+        return real(helpers, **kwargs)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", counting)
+    return made
+
+
+@pytest.mark.parametrize("token", SPECTRAL)
+def test_rows_do_not_depend_on_the_cpu_count(monkeypatch, pools, token):
+    for lr, outcome in ((CHARLM_LR[token], COMPLETED), (300 * CHARLM_LR[token], DIVERGED)):
+        cfg = charlm_config(token, lr)
+        serial = run_on(monkeypatch, 1, cfg)
+        assert serial.outcome == outcome and pools == []
+        for lanes in (2, 3):
+            assert run_on(monkeypatch, lanes, cfg).to_csv(token) == serial.to_csv(token)
+            assert pools.pop() == lanes - 1
+
+
+@pytest.mark.parametrize("task, token", [("charlm", "msgd"), ("charlm", "adam"),
+                                         ("matreg", "msgdq"), ("matreg", "adamz")])
+def test_identity_exponent_and_single_matrix_runs_start_no_thread(monkeypatch, pools, task, token):
+    cfg = charlm_config(token, 0.01, task=task)
+    record = run_on(monkeypatch, 4, cfg)
+    assert record.outcome == COMPLETED and pools == []
+
+
+def capture_params(monkeypatch):
+    """Shallow copies of the params dict each task call saw, in call order."""
+    seen = []
+    real_make_task = train.make_task
+
+    def make_task(*args):
+        task = real_make_task(*args)
+        for attr in ("loss_and_grads", "eval_loss"):
+            def spy(params, *rest, _real=getattr(task, attr)):
+                seen.append(dict(params))
+                return _real(params, *rest)
+            setattr(task, attr, spy)
+        return task
+
+    monkeypatch.setattr(train, "make_task", make_task)
+    return seen
+
+
+def before_step(monkeypatch, name, action):
+    """Call ``action()`` at the start of every matrix step of ``name``."""
+    real = train.step_matrix_param
+
+    def step(w, g, state, kind, hp, param_name=""):
+        if param_name == name:
+            action()
+        return real(w, g, state, kind, hp, param_name=param_name)
+
+    monkeypatch.setattr(train, "step_matrix_param", step)
+
+
+def fail_at(monkeypatch, name, call, exc):
+    """Make the ``call``-th matrix step of ``name`` raise ``exc``."""
+    calls = []
+
+    def action():
+        calls.append(name)
+        if len(calls) == call:
+            raise exc
+
+    before_step(monkeypatch, name, action)
+
+
+@pytest.mark.parametrize("failing", ["W1", "W2", "embed"])
+def test_a_failed_step_leaves_later_parameters_unassigned(monkeypatch, failing):
+    """A step's params dict is stepped up to the failing name in sorted order,
+    whichever thread ran each matrix step (W1 steps on a helper at 2 lanes,
+    W1 and W2 at 3)."""
+    records = []
+    for lanes in (1, 2, 3):
+        with monkeypatch.context() as mp:
+            seen = capture_params(mp)
+            fail_at(mp, failing, 3, KernelDivergenceError("stuck"))
+            record = run_on(mp, lanes, charlm_config("adams", 0.01))
+        assert record.outcome == DIVERGED and record.diverged_step == 3
+        at_step_3, at_divergence = seen[-2], seen[-1]
+        stepped = {name for name in at_step_3 if at_divergence[name] is not at_step_3[name]}
+        assert stepped == {name for name in at_step_3 if name < failing}
+        records.append(record)
+    assert records[0].to_csv() == records[1].to_csv() == records[2].to_csv()
+
+
+@pytest.mark.parametrize("failing", ["W1", "W2"])
+def test_non_toolkit_errors_propagate_and_leave_no_thread(monkeypatch, failing):
+    fail_at(monkeypatch, failing, 2, ValueError("not a toolkit error"))
+    with pytest.raises(ValueError, match="not a toolkit error"):
+        run_on(monkeypatch, 2, charlm_config("adamq", 0.01))
+    assert not step_threads()
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_helper_steps_follow_the_callers_error_state(monkeypatch, lanes):
+    before_step(monkeypatch, "W1", lambda: np.float64(1e300) * np.float64(1e300))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        run_on(monkeypatch, lanes, charlm_config("msgdz", 0.03))
+    with np.errstate(over="ignore"):
+        assert run_on(monkeypatch, lanes, charlm_config("msgdz", 0.03)).outcome == COMPLETED
+
+
+def test_a_warning_in_a_helper_surfaces_in_the_caller(monkeypatch):
+    def warn():
+        assert threading.current_thread() is not threading.main_thread()
+        warnings.warn("from the helper", RuntimeWarning)
+
+    before_step(monkeypatch, "W1", warn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="from the helper"):
+            run_on(monkeypatch, 2, charlm_config("adamz", 0.03))
