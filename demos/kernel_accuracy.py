@@ -16,14 +16,8 @@ Run: python3 demos/kernel_accuracy.py
 
 import numpy as np
 
-from specopt import (
-    SpectralExponent,
-    polar_cubic,
-    polar_quintic,
-    spectral_power_exact,
-    spectral_transform,
-    svd_via_gram,
-)
+from specopt.kernels import SpectralExponent, polar_cubic, polar_quintic, spectral_transform
+from specopt.oracle import spectral_power_exact, svd_via_gram
 from specopt.synth import spectrum_matrix
 
 

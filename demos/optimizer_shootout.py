@@ -9,7 +9,8 @@ has learned real structure in a few seconds of numpy.
 Run: python3 demos/optimizer_shootout.py   (about a minute)
 """
 
-from specopt import HyperParams, TrainConfig, parse_optimizer, run_training
+from specopt.optim import HyperParams, parse_optimizer
+from specopt.train import TrainConfig, run_training
 
 # peak matrix learning rates, one per family member; the spectral exponents
 # compress update magnitudes, so the stronger the compression the larger

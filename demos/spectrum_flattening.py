@@ -12,7 +12,7 @@ Run: python3 demos/spectrum_flattening.py
 
 import numpy as np
 
-from specopt import cond_number, spectral_power_exact, svd_via_gram
+from specopt.oracle import cond_number, spectral_power_exact, svd_via_gram
 from specopt.synth import spectrum_matrix
 
 POWERS = (1.0, 0.5, 0.25, 0.0)

@@ -7,141 +7,22 @@ factor, as used by Muon). Everything runs on plain numpy arrays: iterative
 multiplication-only kernels for speed, an exact Jacobi-SVD oracle for
 truth, eight optimizers over the (momentum | rms) x (1, 1/2, 1/4, 0) grid,
 and a small deterministic training harness with learning-rate sweeps.
+
+The package exports the quick-start surface below; everything else is
+imported from its submodule (``specopt.oracle``, ``specopt.sweep``, ...).
 """
 
-from .dense import (
-    Matrix,
-    as_matrix,
-    format_matrix,
-    frobenius_norm,
-    gram,
-    parse_matrix,
-    read_matrix,
-    write_matrix,
-)
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    InfiniteConditionError,
-    KernelDivergenceError,
-    MatrixFormatError,
-    NonFiniteError,
-    OracleConvergenceError,
-    PoisonedGradientError,
-    PreconditionError,
-    RoutingError,
-    ShapeError,
-    ToolkitError,
-    ZeroMatrixError,
-)
-from .kernels import (
-    KernelDiagnostics,
-    QuinticCoefficients,
-    SpectralExponent,
-    coupled_ns_quarter,
-    coupled_ns_sqrt,
-    polar_cubic,
-    polar_quintic,
-    spectral_transform,
-)
-from .optim import (
-    ALL_OPTIMIZERS,
-    MUON,
-    HyperParams,
-    InputKind,
-    OptimizerKind,
-    OptimizerState,
-    parse_optimizer,
-    step_matrix_param,
-    step_vector_param,
-)
-from .oracle import (
-    SvdTriple,
-    cond_number,
-    jacobi_eigh,
-    spectral_power_exact,
-    svd_via_gram,
-)
-from .reference import published_best, published_sweeps
-from .sweep import SweepPlan, SweepReport, TrialResult, classify_stability, run_sweep
-from .tasks import CharMlp, MatrixRegression, encode_text, make_task
-from .train import (
-    TOOLKIT_VERSION,
-    EvalRow,
-    RunRecord,
-    TrainConfig,
-    canonical_config_text,
-    config_digest,
-    lr_at,
-    run_training,
-)
-from .verify import CheckResult, run_suites
+from .kernels import SpectralExponent, spectral_transform
+from .optim import HyperParams, parse_optimizer
+from .train import TOOLKIT_VERSION, TrainConfig, run_training
 
 __version__ = TOOLKIT_VERSION
 
 __all__ = [
-    "ALL_OPTIMIZERS",
-    "CharMlp",
-    "CheckResult",
-    "ConfigError",
-    "DegenerateInputError",
-    "EvalRow",
     "HyperParams",
-    "InfiniteConditionError",
-    "InputKind",
-    "KernelDiagnostics",
-    "KernelDivergenceError",
-    "Matrix",
-    "MatrixFormatError",
-    "MatrixRegression",
-    "MUON",
-    "NonFiniteError",
-    "OptimizerKind",
-    "OptimizerState",
-    "OracleConvergenceError",
-    "PoisonedGradientError",
-    "PreconditionError",
-    "QuinticCoefficients",
-    "RoutingError",
-    "RunRecord",
-    "ShapeError",
     "SpectralExponent",
-    "SvdTriple",
-    "SweepPlan",
-    "SweepReport",
-    "TOOLKIT_VERSION",
-    "ToolkitError",
     "TrainConfig",
-    "TrialResult",
-    "ZeroMatrixError",
-    "as_matrix",
-    "canonical_config_text",
-    "classify_stability",
-    "cond_number",
-    "config_digest",
-    "coupled_ns_quarter",
-    "coupled_ns_sqrt",
-    "encode_text",
-    "format_matrix",
-    "frobenius_norm",
-    "gram",
-    "jacobi_eigh",
-    "lr_at",
-    "make_task",
-    "parse_matrix",
     "parse_optimizer",
-    "polar_cubic",
-    "polar_quintic",
-    "published_best",
-    "published_sweeps",
-    "read_matrix",
-    "run_suites",
-    "run_sweep",
     "run_training",
-    "spectral_power_exact",
     "spectral_transform",
-    "step_matrix_param",
-    "step_vector_param",
-    "svd_via_gram",
-    "write_matrix",
 ]

@@ -71,6 +71,10 @@ _CUBIC_RESIDUAL_CEILING = 0.5
 _COUPLED_EXIT = 1e-14
 _SYMMETRY_RTOL = 1e-10
 
+# (a, b, c) of the odd quintic z -> a z + b z^3 + c z^5 that polar_quintic
+# applies to every singular value.
+QUINTIC_COEFFICIENTS = (3.4445, -4.7750, 2.0315)
+
 
 class SpectralExponent(Enum):
     """The four supported singular-value powers."""
@@ -111,15 +115,6 @@ class SpectralExponent(Enum):
         return table[key]
 
 
-@dataclass(frozen=True)
-class QuinticCoefficients:
-    """Coefficients of the odd quintic z -> a z + b z^3 + c z^5."""
-
-    a: float = 3.4445
-    b: float = -4.7750
-    c: float = 2.0315
-
-
 @dataclass
 class KernelDiagnostics:
     """Run log of one kernel invocation.
@@ -155,15 +150,11 @@ def _validate_input(m, name: str = "input") -> np.ndarray:
     return a
 
 
-def polar_quintic(
-    m: Matrix,
-    iters: int = DEFAULT_POLAR_ITERS,
-    coeffs: QuinticCoefficients = QuinticCoefficients(),
-) -> tuple[Matrix, KernelDiagnostics]:
+def polar_quintic(m: Matrix, iters: int = DEFAULT_POLAR_ITERS) -> tuple[Matrix, KernelDiagnostics]:
     """Quintic orthogonalizer: repeated odd-quintic applied to the spectrum.
 
     Normalizes the input by its Frobenius norm, then iterates
-    Z <- a Z + b Z Z^T Z + c (Z Z^T)^2 Z. With the default coefficients the
+    Z <- a Z + b Z Z^T Z + c (Z Z^T)^2 Z. With QUINTIC_COEFFICIENTS the
     singular values land in a band around 1 instead of converging to 1, so
     the output is the polar factor up to that band. The output is not
     rescaled after the initial normalization.
@@ -178,12 +169,13 @@ def polar_quintic(
     z = (a.T if transposed else a) / alpha
     n = z.shape[1]
     eye = np.eye(n)
-    a_eye = coeffs.a * eye
+    qa, qb, qc = QUINTIC_COEFFICIENTS
+    a_eye = qa * eye
     residuals: list[float] = []
     b = z.T.dot(z)
     for k in range(1, iters + 1):
         # Z Z^T Z = Z (Z^T Z) keeps every product on the small side.
-        z = z.dot(a_eye + coeffs.b * b + coeffs.c * b.dot(b))
+        z = z.dot(a_eye + qb * b + qc * b.dot(b))
         b = z.T.dot(z)
         _residual(b, eye, "quintic", k, alpha, residuals)
     diag = KernelDiagnostics(iters, alpha, None, residuals)

@@ -60,7 +60,7 @@ def _off_mass(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def jacobi_eigh(s: Matrix, sweep_cap: int = _SWEEP_CAP) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(s: Matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
 
     Sweeps rotate every (p, q) pair in row-cyclic order until the
@@ -90,7 +90,7 @@ def jacobi_eigh(s: Matrix, sweep_cap: int = _SWEEP_CAP) -> tuple[np.ndarray, np.
     stop_tight = _TIGHT_REL * norm
     off = _off_mass(a)
     sweeps = 0
-    while off > stop_tight and sweeps < sweep_cap:
+    while off > stop_tight and sweeps < _SWEEP_CAP:
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
@@ -134,12 +134,12 @@ def jacobi_eigh(s: Matrix, sweep_cap: int = _SWEEP_CAP) -> tuple[np.ndarray, np.
     return vals[order], vecs[:, order]
 
 
-def svd_via_gram(o: Matrix, rank_tolerance: float = RANK_TOLERANCE) -> SvdTriple:
+def svd_via_gram(o: Matrix) -> SvdTriple:
     """Thin SVD obtained from the smaller-side Gram matrix.
 
     Eigenvalues of the Gram matrix give sigma^2; the missing factor is
     recovered by one projection. Singular values at or below
-    rank_tolerance * sigma_max are truncated. Raises ZeroMatrixError when
+    RANK_TOLERANCE * sigma_max are truncated. Raises ZeroMatrixError when
     nothing survives the cutoff.
     """
     a = np.asarray(o, dtype=np.float64)
@@ -160,7 +160,7 @@ def svd_via_gram(o: Matrix, rank_tolerance: float = RANK_TOLERANCE) -> SvdTriple
     proj = proj[:, order]
     if sigma.size == 0 or sigma[0] == 0.0:
         raise ZeroMatrixError("matrix is zero: no singular values above the cutoff")
-    keep = sigma > rank_tolerance * sigma[0]
+    keep = sigma > RANK_TOLERANCE * sigma[0]
     sigma = sigma[keep]
     w = vecs[:, keep]
     proj = proj[:, keep] / sigma
@@ -179,7 +179,7 @@ def svd_via_gram(o: Matrix, rank_tolerance: float = RANK_TOLERANCE) -> SvdTriple
     return SvdTriple(u=u, sigma=sigma, v=v)
 
 
-def spectral_power_exact(o: Matrix, p: float, rank_tolerance: float = RANK_TOLERANCE) -> Matrix:
+def spectral_power_exact(o: Matrix, p: float) -> Matrix:
     """Exact spectral-power transform: U diag(sigma^p) V^T for p in [0, 1].
 
     Keeps the singular vectors and raises the singular values to the power
@@ -188,7 +188,7 @@ def spectral_power_exact(o: Matrix, p: float, rank_tolerance: float = RANK_TOLER
     """
     if not 0.0 <= float(p) <= 1.0:
         raise PreconditionError(f"power must lie in [0, 1], got {p}")
-    triple = svd_via_gram(o, rank_tolerance)
+    triple = svd_via_gram(o)
     if float(p) == 0.0 and triple.rank < min(o.shape):
         raise PreconditionError(
             f"zero power needs full rank: rank {triple.rank} < min(shape) {min(o.shape)}"
@@ -196,13 +196,13 @@ def spectral_power_exact(o: Matrix, p: float, rank_tolerance: float = RANK_TOLER
     return (triple.u * triple.sigma ** float(p)) @ triple.v.T
 
 
-def cond_number(o: Matrix, rank_tolerance: float = RANK_TOLERANCE) -> float:
+def cond_number(o: Matrix) -> float:
     """sigma_max / sigma_min of a full-rank matrix.
 
     Raises InfiniteConditionError when the matrix is rank deficient at the
     cutoff.
     """
-    triple = svd_via_gram(o, rank_tolerance)
+    triple = svd_via_gram(o)
     if triple.rank < min(o.shape):
         raise InfiniteConditionError(
             f"rank {triple.rank} < min(shape) {min(o.shape)}: condition number is infinite"

@@ -90,6 +90,11 @@ def _grid_sweep(token, seed):
     plan = SweepPlan(coarse_grid=SWEEP_GRIDS[token], max_fine_rounds=0)
     report = run_sweep(cfg, plan, [kind])
     profile = classify_stability(report.trials)
+    print(f"seed {seed} {token}")
+    for lr, label in profile.labels:
+        trial = next(t for t in report.trials if t.lr == lr)
+        loss = f"{trial.eval_loss:.4f}" if trial.completed else "-"
+        print(f"  lr {lr:>8g}  {label:>8}  held-out {loss}")
     return profile, report.best_by_optimizer[token]
 
 

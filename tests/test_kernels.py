@@ -17,7 +17,7 @@ from specopt.errors import (
     ShapeError,
 )
 from specopt.kernels import (
-    QuinticCoefficients,
+    QUINTIC_COEFFICIENTS,
     SpectralExponent,
     coupled_ns_quarter,
     coupled_ns_sqrt,
@@ -41,8 +41,7 @@ def oracle_power(a, p):
 
 
 def test_quintic_coefficients_pinned():
-    c = QuinticCoefficients()
-    assert (c.a, c.b, c.c) == (3.4445, -4.7750, 2.0315)
+    assert QUINTIC_COEFFICIENTS == (3.4445, -4.7750, 2.0315)
 
 
 def test_exponent_tokens_and_maps():
