@@ -6,16 +6,18 @@ Products on the per-step path are written ``a.dot(b)`` rather than
 product) with the same operands and give the same bits, but ``dot``
 skips the matmul ufunc's dispatch, about 1.2 us a product, over a third
 of a 24x24 product's cost. The accumulation order is fixed by the BLAS
-build, so identical inputs give bit-identical outputs on the same
-platform and BLAS thread count, which is the determinism contract the
-training harness relies on.
+build and its thread count; the training harness pins one thread per
+call (one_blas_thread), so identical inputs give it bit-identical outputs
+on the same platform and BLAS build.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,30 +25,51 @@ import numpy as np
 from .errors import MatrixFormatError, NonFiniteError, ShapeError
 
 Matrix = np.ndarray
+_pin_lock = threading.Lock()
+_found = []  # counts found by open one_blas_thread blocks: the caller's, then 1s
 
 
 def blas_threads() -> int | None:
     """Threads each BLAS call may use now, as numpy's bundled OpenBLAS
-    reports it; None when numpy's BLAS is not one this can ask."""
-    getter = _openblas_thread_getter()
-    return None if getter is None else int(getter())
+    reports it; None when numpy's BLAS is not one this can ask and set."""
+    calls = _openblas_thread_calls()
+    return None if calls is None else int(calls[0]())
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with one thread per BLAS call, a process-wide count that
+    the last open block restores on exit; a no-op where blas_threads() is None."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    with _pin_lock:
+        _found.append(get())
+        set_(1)
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            set_(_found.pop())
 
 
 @functools.cache
-def _openblas_thread_getter():
+def _openblas_thread_calls():
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            getter = getattr(lib, symbol, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                getter.argtypes = []
-                return getter
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
     return None
 
 

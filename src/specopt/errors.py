@@ -33,6 +33,13 @@ class KernelDivergenceError(ToolkitError):
         self.diagnostics = diagnostics
 
 
+def tagged(exc: ToolkitError, label: str) -> ToolkitError:
+    """The same error with ``label: `` before its message and its diagnostics."""
+    if isinstance(exc, KernelDivergenceError):
+        return KernelDivergenceError(f"{label}: {exc}", diagnostics=exc.diagnostics)
+    return type(exc)(f"{label}: {exc}")
+
+
 class PreconditionError(ToolkitError):
     """An input violates a documented precondition (asymmetry, rank, range)."""
 

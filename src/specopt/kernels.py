@@ -60,6 +60,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
     ToolkitError,
+    tagged,
 )
 
 DEFAULT_POLAR_ITERS = 5      # quintic; more iterations keep cycling the band
@@ -87,11 +88,6 @@ class SpectralExponent(Enum):
     @property
     def power(self) -> float:
         return {"one": 1.0, "half": 0.5, "quarter": 0.25, "zero": 0.0}[self.value]
-
-    def __float__(self) -> float:
-        # Numeric contexts (the exact oracle takes a float power) accept an
-        # enum member directly instead of forcing callers through .power.
-        return self.power
 
     @property
     def suffix(self) -> str:
@@ -352,13 +348,6 @@ def _merge_diagnostics(first: KernelDiagnostics, second: KernelDiagnostics) -> K
     )
 
 
-def _tagged(exc: ToolkitError, label: str):
-    diag = getattr(exc, "diagnostics", None)
-    if isinstance(exc, KernelDivergenceError):
-        return KernelDivergenceError(f"{label}: {exc}", diagnostics=diag)
-    return type(exc)(f"{label}: {exc}")
-
-
 def spectral_transform(
     o: Matrix,
     exponent: SpectralExponent,
@@ -388,7 +377,7 @@ def spectral_transform(
                 return polar_quintic(a, iters if iters is not None else DEFAULT_POLAR_ITERS)
             return polar_cubic(a, iters if iters is not None else DEFAULT_CUBIC_ITERS)
         except ToolkitError as exc:
-            raise _tagged(exc, f"spectral transform p=0.0 method={zero_method}") from exc
+            raise tagged(exc, f"spectral transform p=0.0 method={zero_method}") from exc
 
     k = iters if iters is not None else DEFAULT_COUPLED_ITERS
     try:
@@ -398,7 +387,7 @@ def spectral_transform(
         first, diag1 = _half_transform(a, k)
         second, diag2 = _half_transform(first, k)
     except ToolkitError as exc:
-        raise _tagged(exc, "spectral transform p=0.5") from exc
+        raise tagged(exc, f"spectral transform p={exponent.power}") from exc
     return second, _merge_diagnostics(diag1, diag2)
 
 
@@ -406,14 +395,15 @@ def _half_transform(a: np.ndarray, iters: int) -> tuple[Matrix, KernelDiagnostic
     """O (O^T O)^(-1/4) for a validated ``a``, on its smaller side.
 
     The Gram matrix is exactly symmetric (dense.gram), so it goes to the
-    quarter root without coupled_ns_quarter's symmetry check. Its entries
-    can still overflow for a finite input with entries beyond about 1e154.
+    quarter root without coupled_ns_quarter's symmetry check. A finite input
+    with entries beyond about 1e154 overflows it: a NonFiniteError says so.
     """
     transposed = a.shape[0] < a.shape[1]
     work = a.T if transposed else a
-    x = gram(work)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = gram(work)
     if not np.isfinite(x).all():
-        raise NonFiniteError("input contains NaN or Inf entries")
+        raise NonFiniteError("Gram matrix overflowed: input entries are too large to square")
     if iters < 1:
         raise PreconditionError(f"iteration count must be >= 1, got {iters}")
     _, inv_quarter, diag = _quarter_core(x, iters)

@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .dense import Matrix
-from .errors import ConfigError, PoisonedGradientError, RoutingError, ToolkitError
+from .errors import ConfigError, PoisonedGradientError, RoutingError, ToolkitError, tagged
 from .kernels import KernelDiagnostics, SpectralExponent, spectral_transform
 
 
@@ -210,7 +210,7 @@ def step_matrix_param(
             delta, diag = spectral_transform(raw, kind.exponent, hp.spectral_iters)
         except ToolkitError as exc:
             if param_name:
-                raise type(exc)(f"parameter {param_name!r}: {exc}") from exc
+                raise tagged(exc, f"parameter {param_name!r}") from exc
             raise
     scale = _fan_scale(w.shape, kind, hp)
     return w - (hp.lr_mat * scale) * delta, new_state, diag

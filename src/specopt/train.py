@@ -6,16 +6,16 @@ CONFIG_FIELDS is the one list of config keys: each key's attribute, text
 parser, canonical rendering and the word that stands for None. The
 canonical rendering of a config (sorted "key = value" lines) is hashed into
 a digest that every output artifact embeds, and replaying the same config
-bit-reproduces every recorded row on the same platform and BLAS thread
-count. Wall time is kept on the record object but never serialized, so
-output files stay byte-stable.
+bit-reproduces every recorded row on the same platform and BLAS build (a
+run pins one BLAS thread per call). Wall time is kept on the record object
+but never serialized, so output files stay byte-stable.
 
 The matrix parameters' steps share nothing within a step, so when the
 exponent is not one, the run has two or more matrix parameters and the
-process may use two or more CPUs with one BLAS thread each, the costliest
-of them step on helper threads while the calling thread steps the rest
-(see _step_params). Each step is the same computation on the same inputs
-whichever thread runs it, so a run's rows do not depend on the CPU count.
+process may use two or more CPUs, the costliest of them step on helper
+threads while the calling thread steps the rest (see _step_params). Each
+step is the same computation on the same inputs whichever thread runs it,
+so a run's rows do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .dense import blas_threads
+from .dense import blas_threads, one_blas_thread
 from .errors import ConfigError, ToolkitError
 from .kernels import SpectralExponent
 from .optim import (
@@ -299,15 +299,13 @@ def _safe_loss(fn) -> float:
 
 
 def step_lanes() -> int:
-    """How many matrix steps may run at once: the CPUs this process may use
-    when each BLAS call runs on one thread, else 1.
+    """How many matrix steps may run at once: the CPUs this process may use.
 
-    A BLAS that spreads each product over the CPUs leaves a helper thread
-    none to use: on 2 CPUs with two OpenBLAS threads, concurrent steps made
-    charlm's p = 1/2, 1/4 and 0 runs 20-35 % slower. An unknown BLAS thread
-    count counts as more than one.
+    1 where numpy's BLAS cannot be asked, so run_training cannot pin each
+    BLAS call to one thread: a BLAS that spreads each product over the CPUs
+    leaves a helper thread none to use.
     """
-    if blas_threads() != 1:
+    if blas_threads() is None:
         return 1
     try:
         return len(os.sched_getaffinity(0))
@@ -381,13 +379,15 @@ def _step_params(params, grads, states, matrix_names, offloaded, pool, optimizer
         params[name], states[name], _ = outcome
 
 
+@one_blas_thread()
 def run_training(cfg: TrainConfig) -> RunRecord:
     """Execute one run and return its record.
 
     Divergence (non-finite loss, loss above the threshold, or a kernel/
     gradient error inside a step) ends the run with outcome "diverged" and
-    a final row carrying the offending loss; it never raises. Any helper
-    threads the run's steps use are shut down before it returns.
+    a final row carrying the offending loss; it never raises. Its BLAS calls
+    run on one thread (a count the caller's other threads share), restored
+    on every exit once the helper threads of its steps are shut down.
     """
     start = time.perf_counter()
     task = make_task(cfg.task, cfg.seed, cfg.corpus_path)

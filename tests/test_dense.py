@@ -5,9 +5,11 @@ import pytest
 
 from specopt.dense import (
     as_matrix,
+    blas_threads,
     format_matrix,
     frobenius_norm,
     gram,
+    one_blas_thread,
     parse_matrix,
     read_matrix,
     write_matrix,
@@ -91,6 +93,19 @@ def test_dot_matches_matmul_bit_for_bit(form):
             want, got = _DOT_FORMS[form](w, b, c, d)
             assert want.shape == got.shape
             assert want.tobytes() == got.tobytes(), (form, rows, cols, n)
+
+
+def test_overlapping_pins_restore_the_count_when_the_last_one_exits():
+    before = blas_threads()
+    if before is None:
+        pytest.skip("numpy's BLAS thread count cannot be read")
+    first, second = one_blas_thread(), one_blas_thread()
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)  # as when two threads' runs overlap
+    assert blas_threads() == 1
+    second.__exit__(None, None, None)
+    assert blas_threads() == before
 
 
 def test_as_matrix_reshape_and_validation():

@@ -49,9 +49,6 @@ def test_exponent_tokens_and_maps():
     assert SpectralExponent.HALF.power == 0.5
     assert SpectralExponent.QUARTER.power == 0.25
     assert SpectralExponent.ZERO.power == 0.0
-    # members coerce in numeric contexts, so the exact oracle accepts them
-    for member in SpectralExponent:
-        assert float(member) == member.power
     assert SpectralExponent.ONE.suffix == ""
     assert SpectralExponent.HALF.suffix == "S"
     assert SpectralExponent.QUARTER.suffix == "Q"
@@ -331,6 +328,23 @@ def test_transform_wide_input_matches_transposed_tall():
 def test_transform_input_validation():
     with pytest.raises(NonFiniteError):
         spectral_transform(np.array([[1.0, np.inf]]), SpectralExponent.HALF)
+
+
+def test_transform_failures_name_their_power():
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((128, 32)) @ rng.standard_normal((32, 128))
+    with pytest.raises(KernelDivergenceError, match="residual grew") as info:
+        spectral_transform(a, SpectralExponent.QUARTER, iters=60)
+    assert str(info.value).startswith("spectral transform p=0.25: ")
+    assert info.value.diagnostics is info.value.__cause__.diagnostics
+
+
+def test_transform_names_an_overflowed_gram():
+    # Finite entries of 1e160 square past the float range; tier-1 turns
+    # numpy's overflow warning into an error, so none may escape.
+    for exponent in (SpectralExponent.HALF, SpectralExponent.QUARTER):
+        with pytest.raises(NonFiniteError, match="Gram matrix overflowed"):
+            spectral_transform(np.full((4, 3), 1e160), exponent)
 
 
 def test_transform_reports_an_unconverged_pass_behind_a_converged_one():

@@ -11,7 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from specopt.errors import ConfigError, PoisonedGradientError, RoutingError
+from specopt.errors import (
+    ConfigError,
+    KernelDivergenceError,
+    PoisonedGradientError,
+    RoutingError,
+)
 from specopt.kernels import SpectralExponent
 from specopt.optim import (
     ALL_OPTIMIZERS,
@@ -293,6 +298,21 @@ def test_spectral_step_reports_kernel_diagnostics():
     _, _, diag = step_matrix_param(w, g, OptimizerState.initial(w, False),
                                    parse_optimizer("msgds"), hp)
     assert diag is not None and diag.iterations_run > 0
+
+
+def test_a_named_kernel_failure_keeps_its_diagnostics():
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((128, 32)) @ rng.standard_normal((32, 128))
+    w = np.zeros_like(g)
+    args = (w, g, OptimizerState.initial(w, False), parse_optimizer("msgdq"),
+            HyperParams(lr_mat=0.1, spectral_iters=60))
+    with pytest.raises(KernelDivergenceError) as unnamed:
+        step_matrix_param(*args)
+    with pytest.raises(KernelDivergenceError, match="^parameter 'W1': spectral transform p=0.25: "
+                       ) as named:
+        step_matrix_param(*args, param_name="W1")
+    assert named.value.diagnostics is named.value.__cause__.diagnostics
+    assert named.value.diagnostics == unnamed.value.diagnostics
 
 
 def test_zero_exponent_step_ignores_gradient_scale():

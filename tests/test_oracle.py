@@ -186,18 +186,6 @@ def test_power_half_on_diagonal():
                        np.diag([3.0, 2.0]), atol=1e-12)
 
 
-def test_power_accepts_exponent_enum_members():
-    # the token an optimizer spec carries must feed straight into the oracle
-    from specopt.kernels import SpectralExponent
-
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((7, 5))
-    for member in SpectralExponent:
-        got = spectral_power_exact(a, member)
-        want = spectral_power_exact(a, member.power)
-        assert np.array_equal(got, want)
-
-
 def test_power_domain_checks():
     a = np.diag([2.0, 1.0])
     with pytest.raises(PreconditionError):

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specopt import train
+from specopt import dense, train
 from specopt.errors import ConfigError, KernelDivergenceError
 from specopt.optim import ALL_OPTIMIZERS, HyperParams, OptimizerState, parse_optimizer
 from specopt.sweep import SweepPlan
@@ -300,16 +300,48 @@ def step_threads():
     return [t for t in threading.enumerate() if t.name.startswith("specopt-step")]
 
 
-def test_steps_run_concurrently_only_with_one_blas_thread_per_call():
-    probe = "from specopt import train; print(train.blas_threads(), train.step_lanes())"
-    for threads, lanes in ((1, len(os.sched_getaffinity(0))), (2, 1)):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                   PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, check=True, timeout=60).stdout.split()
-        assert out[1] == str(lanes)
-        if lanes > 1:
-            assert out[0] == "1"
+def run_python(code, blas_threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_steps_run_concurrently_at_any_blas_thread_count():
+    probe = """
+import threading
+from specopt import dense, train
+from specopt.optim import HyperParams, parse_optimizer
+names = set()
+real = train.step_matrix_param
+def step(*args, **kwargs):
+    names.add(threading.current_thread().name)
+    return real(*args, **kwargs)
+train.step_matrix_param = step
+train.run_training(train.TrainConfig(task="charlm", optimizer=parse_optimizer("msgds"),
+                                     hp=HyperParams(lr_mat=0.3), total_steps=4, warmup_steps=1))
+print(train.blas_threads(), *sorted(names))
+"""
+    count, *names = run_python(probe, 2).split()
+    assert count == "2"
+    assert any(name.startswith("specopt-step") for name in names)
+
+
+def test_rows_do_not_depend_on_the_blas_thread_count():
+    probe = """
+from specopt.optim import ALL_OPTIMIZERS, HyperParams
+from specopt.train import TrainConfig, run_training
+LR = {"msgd": 3.0, "msgds": 0.3, "msgdq": 0.1, "msgdz": 0.03,
+      "adam": 0.003, "adams": 0.01, "adamq": 0.01, "adamz": 0.03}
+for kind in ALL_OPTIMIZERS:
+    cfg = TrainConfig(task="charlm", optimizer=kind, hp=HyperParams(lr_mat=LR[kind.token]),
+                      total_steps=40, warmup_steps=4, eval_every=10)
+    print(run_training(cfg).to_csv(kind.token))
+"""
+    one = run_python(probe, 1)
+    assert one.count("# outcome=completed") == len(ALL_OPTIMIZERS)
+    assert run_python(probe, 2) == one
 
 
 def test_the_costliest_matrices_go_to_helpers(monkeypatch):
@@ -455,3 +487,30 @@ def test_a_warning_in_a_helper_surfaces_in_the_caller(monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="from the helper"):
             run_on(monkeypatch, 2, charlm_config("adamz", 0.03))
+
+
+@pytest.fixture(params=[1, 2])
+def blas_count(request):
+    """numpy's BLAS thread count set to the param for the test, then restored."""
+    calls = dense._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS thread count cannot be set")
+    get, set_ = calls
+    before = get()
+    set_(request.param)
+    yield request.param
+    set_(before)
+
+
+def test_a_run_pins_one_blas_thread_and_restores_the_count(monkeypatch, blas_count):
+    seen = []
+    before_step(monkeypatch, "W1", lambda: seen.append(train.blas_threads()))
+    assert run_training(charlm_config("msgds", 0.3)).outcome == COMPLETED
+    assert seen and set(seen) == {1}
+    assert train.blas_threads() == blas_count
+    assert run_training(charlm_config("msgds", 300 * 0.3)).outcome == DIVERGED
+    assert train.blas_threads() == blas_count
+    fail_at(monkeypatch, "W1", 2, ValueError("not a toolkit error"))
+    with pytest.raises(ValueError, match="not a toolkit error"):
+        run_training(charlm_config("msgds", 0.3))
+    assert train.blas_threads() == blas_count
