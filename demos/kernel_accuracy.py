@@ -17,7 +17,7 @@ Run: python3 demos/kernel_accuracy.py
 import numpy as np
 
 from specopt.kernels import SpectralExponent, polar_cubic, polar_quintic, spectral_transform
-from specopt.oracle import spectral_power_exact, svd_via_gram
+from specopt.oracle import jacobi_svd, spectral_power_exact
 from specopt.synth import spectrum_matrix
 
 
@@ -31,14 +31,14 @@ def main():
           f"{'cubic polar':>11}  {'quintic band':>14}")
     for cond in (2.0, 10.0, 50.0, 100.0):
         m = spectrum_matrix(rng, 24, 16, cond)
-        tr = svd_via_gram(m)
+        tr = jacobi_svd(m)
         polar_ref = tr.u @ tr.v.T
 
         half, _ = spectral_transform(m, SpectralExponent.HALF)
         quarter, _ = spectral_transform(m, SpectralExponent.QUARTER)
         cubic, _ = polar_cubic(m)
         quintic, _ = polar_quintic(m)
-        q_sig = svd_via_gram(quintic).sigma
+        q_sig = jacobi_svd(quintic).sigma
 
         print(f"{cond:>10.0f}  {rel(half, spectral_power_exact(m, 0.5)):>11.2e}  "
               f"{rel(quarter, spectral_power_exact(m, 0.25)):>13.2e}  "

@@ -12,7 +12,7 @@ Run: python3 demos/spectrum_flattening.py
 
 import numpy as np
 
-from specopt.oracle import cond_number, spectral_power_exact, svd_via_gram
+from specopt.oracle import cond_number, jacobi_svd, spectral_power_exact
 from specopt.synth import spectrum_matrix
 
 POWERS = (1.0, 0.5, 0.25, 0.0)
@@ -23,7 +23,7 @@ def describe(label, m):
     print(f"{'p':>6}  {'condition':>12}  singular values")
     for p in POWERS:
         out = spectral_power_exact(m, p)
-        sig = svd_via_gram(out).sigma
+        sig = jacobi_svd(out).sigma
         kappa = cond_number(out)
         shown = ", ".join(f"{s:.4g}" for s in sig[:6])
         if sig.size > 6:

@@ -45,7 +45,7 @@ class PreconditionError(ToolkitError):
 
 
 class OracleConvergenceError(ToolkitError):
-    """The Jacobi eigensolver hit its sweep cap before its target."""
+    """The Jacobi SVD hit its sweep cap before its columns were orthogonal."""
 
 
 class ZeroMatrixError(ToolkitError):

@@ -342,7 +342,7 @@ def _merge_diagnostics(first: KernelDiagnostics, second: KernelDiagnostics) -> K
     return KernelDiagnostics(
         iterations_run=first.iterations_run + second.iterations_run,
         scale_alpha=first.scale_alpha,
-        scale_beta=second.scale_beta if second.scale_beta is not None else first.scale_beta,
+        scale_beta=second.scale_beta,
         residual_per_iter=first.residual_per_iter + second.residual_per_iter,
         pass_residuals=first.pass_residuals + second.pass_residuals,
     )

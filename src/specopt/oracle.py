@@ -1,21 +1,24 @@
-"""Exact spectral reference built from cyclic Jacobi rotations.
+"""Exact spectral reference built from one-sided Jacobi rotations.
 
-This module is the ground truth the iterative kernels are tested against:
-a symmetric eigensolver using plane rotations only, an SVD assembled through
-the Gram matrix, exact spectral powers, and condition numbers. It is written
-for correctness at desk scale (dimensions up to a few hundred), not speed,
-and deliberately shares no code with the kernel iterations.
+This module is the ground truth the iterative kernels are tested against: a
+thin SVD that rotates the matrix's own columns until they are orthogonal, so
+its relative error scales with kappa, not kappa**2 as through the Gram
+matrix; exact spectral powers; and condition numbers. It is written for
+correctness at desk scale, calls no numpy.linalg decomposition and shares no
+code with the kernel iterations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import Matrix, gram
+from .dense import Matrix
 from .errors import (
     InfiniteConditionError,
+    NonFiniteError,
     OracleConvergenceError,
     PreconditionError,
     ShapeError,
@@ -26,17 +29,10 @@ from .errors import (
 # consumer that needs a full-rank check.
 RANK_TOLERANCE = 1e-10
 
-# Off-diagonal Frobenius mass targets, relative to the input norm. The
-# contractual stop is 1e-12; sweeps continue to the tight target when the
-# cap allows because the final sweep is nearly free (quadratic convergence)
-# and the extra accuracy benefits the condition-number laws.
-_STOP_REL = 1e-12
-_TIGHT_REL = 1e-15
+# A column pair counts as orthogonal once the cosine of its angle is at most
+# _ORTH_TOL; the first sweep that rotates no pair ends the iteration.
+_ORTH_TOL = 1e-15
 _SWEEP_CAP = 50
-
-_SYMMETRY_RTOL = 1e-10
-# Rotation cotangents beyond this take the small-angle tangent 1 / (2 theta).
-_THETA_HUGE = 1e100
 
 
 @dataclass
@@ -55,128 +51,82 @@ class SvdTriple:
         return (self.u * self.sigma) @ self.v.T
 
 
-def _off_mass(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One sweep of Brent-Luk rounds: (p, q) arrays of disjoint column pairs.
 
-
-def jacobi_eigh(s: Matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Sweeps rotate every (p, q) pair in row-cyclic order until the
-    off-diagonal Frobenius mass falls below 1e-12 times the input norm (the
-    loop aims a little lower when it can). Returns (eigenvalues, vectors)
-    with eigenvalues sorted descending, ties keeping their pre-sort order,
-    and eigenvectors as the matching columns.
-
-    Raises PreconditionError for non-square or asymmetric input and
-    OracleConvergenceError if the sweep cap is hit before the target.
+    Every pair of the n columns meets once; an odd n pairs with a dummy.
     """
-    a = np.asarray(s, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"eigensolver needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-    norm = float(np.linalg.norm(a))
-    if float(np.linalg.norm(a - a.T)) > _SYMMETRY_RTOL * norm:
-        raise PreconditionError("input is not symmetric within tolerance")
-    a = 0.5 * (a + a.T)
-    vecs = np.eye(n)
-    if n == 1 or norm == 0.0:
-        vals = np.diag(a).copy()
-        order = np.argsort(-vals, kind="stable")
-        return vals[order], vecs[:, order]
-
-    stop_spec = _STOP_REL * norm
-    stop_tight = _TIGHT_REL * norm
-    off = _off_mass(a)
-    sweeps = 0
-    while off > stop_tight and sweeps < _SWEEP_CAP:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sign = 1.0 if theta >= 0.0 else -1.0
-                size = abs(theta)
-                if size > _THETA_HUGE:
-                    # sqrt(theta^2 + 1) already rounds to |theta| here, and
-                    # theta^2 would overflow past about 1e154.
-                    t = sign * 0.5 / size
-                else:
-                    t = sign / (size + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                sn = t * c
-                # A <- J^T A J applied as column then row combinations.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - sn * col_q
-                a[:, q] = sn * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sn * row_q
-                a[q, :] = sn * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = vecs[:, p].copy()
-                vec_q = vecs[:, q].copy()
-                vecs[:, p] = c * vec_p - sn * vec_q
-                vecs[:, q] = sn * vec_p + c * vec_q
-        sweeps += 1
-        off = _off_mass(a)
-
-    if off > stop_spec:
-        raise OracleConvergenceError(
-            f"off-diagonal mass {off:.3e} above target {stop_spec:.3e} after {sweeps} sweeps"
-        )
-    vals = np.diag(a).copy()
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], vecs[:, order]
+    ring = list(range(n + n % 2))
+    half = len(ring) // 2
+    rounds = []
+    for _ in range(len(ring) - 1):
+        pairs = [(i, j) for i, j in zip(ring[:half], ring[::-1]) if max(i, j) < n]
+        p, q = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        rounds.append((p, q))
+        ring = ring[:1] + ring[-1:] + ring[1:-1]
+    return rounds
 
 
-def svd_via_gram(o: Matrix) -> SvdTriple:
-    """Thin SVD obtained from the smaller-side Gram matrix.
+def jacobi_svd(o: Matrix) -> SvdTriple:
+    """Thin SVD by one-sided Jacobi rotations of the matrix's columns.
 
-    Eigenvalues of the Gram matrix give sigma^2; the missing factor is
-    recovered by one projection. Singular values at or below
-    RANK_TOLERANCE * sigma_max are truncated. Raises ZeroMatrixError when
-    nothing survives the cutoff.
+    Rotates Brent-Luk column pairs of the tall orientation, scaled by its
+    largest |entry|, until every pair is orthogonal. Then sigma is the column
+    norms, U the normalized columns and V the product of the rotations (for
+    a wide input, the roles of U and V swap). Singular values at or below
+    RANK_TOLERANCE * sigma_max are truncated. Raises NonFiniteError on NaN or
+    Inf entries, ZeroMatrixError when nothing survives the cutoff and
+    OracleConvergenceError past _SWEEP_CAP sweeps.
     """
     a = np.asarray(o, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
-    m, n = a.shape
-    tall = m >= n
-    _, vecs = jacobi_eigh(gram(a))
-    # sigma_i = sqrt(lambda_i), but evaluated as ||O v_i||: the same number
-    # up to rounding, with error ~eps*kappa instead of the squared-condition
-    # error that forming the Gram matrix puts into the small eigenvalues.
-    # This keeps the recovered factor orthonormal at stiff spectra.
-    proj = a @ vecs if tall else a.T @ vecs
-    sigma = np.sqrt(np.sum(proj * proj, axis=0))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    vecs = vecs[:, order]
-    proj = proj[:, order]
-    if sigma.size == 0 or sigma[0] == 0.0:
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    if not math.isfinite(scale):
+        raise NonFiniteError("matrix contains NaN or Inf entries")
+    if scale == 0.0:
         raise ZeroMatrixError("matrix is zero: no singular values above the cutoff")
-    keep = sigma > RANK_TOLERANCE * sigma[0]
-    sigma = sigma[keep]
-    w = vecs[:, keep]
-    proj = proj[:, keep] / sigma
-    # The projected factor picks up cross-talk of order eps*kappa^2 between
-    # near-tied small singular directions. One Newton orthogonalization step
-    # squares that defect down to the machine floor and perturbs the
-    # reconstruction by no more than the defect it removes.
-    wg = proj.T @ proj
-    proj = proj @ ((3.0 * np.eye(wg.shape[0]) - wg) * 0.5)
-    if tall:
-        v = w
-        u = proj
+    tall = a.shape[0] >= a.shape[1]
+    t = a if tall else a.T
+    m, n = t.shape
+    # Row i holds column i of the scaled tall matrix, then column i of V.
+    z = np.hstack((t.T / scale, np.eye(n)))
+    rounds = _round_robin(n)
+    for _ in range(_SWEEP_CAP):
+        rotated = False
+        for p, q in rounds:
+            zp, zq = z[p], z[q]
+            xp, xq = zp[:, :m], zq[:, :m]
+            alpha = np.einsum("ij,ij->i", xp, xp)
+            beta = np.einsum("ij,ij->i", xq, xq)
+            gamma = np.einsum("ij,ij->i", xp, xq)
+            turn = np.abs(gamma) > _ORTH_TOL * np.sqrt(alpha) * np.sqrt(beta)
+            if not turn.any():
+                continue
+            rotated = True
+            # tan = sign(zeta) / (|zeta| + hypot(1, zeta)), zeta = d / g, times
+            # |g| over |g|: no square or quotient can overflow. A pair that is
+            # already orthogonal gets tan = 0, an exact identity.
+            d, g = beta - alpha, 2.0 * gamma
+            tan = np.divide(np.copysign(1.0, d) * g, np.abs(d) + np.hypot(d, g),
+                            out=np.zeros_like(g), where=turn)
+            c = 1.0 / np.hypot(1.0, tan)[:, None]
+            s = c * tan[:, None]
+            z[p], z[q] = c * zp - s * zq, s * zp + c * zq
+        if not rotated:
+            break
     else:
-        u = w
-        v = proj
-    return SvdTriple(u=u, sigma=sigma, v=v)
+        raise OracleConvergenceError(
+            f"columns not orthogonal to {_ORTH_TOL:.0e} after {_SWEEP_CAP} sweeps"
+        )
+    sigma = np.sqrt(np.einsum("ij,ij->i", z[:, :m], z[:, :m]))
+    order = np.argsort(-sigma, kind="stable")
+    keep = order[sigma[order] > RANK_TOLERANCE * sigma[order[0]]]
+    sigma = sigma[keep]
+    u, v = (z[keep, :m] / sigma[:, None]).T, z[keep, m:].T
+    if not tall:
+        u, v = v, u
+    return SvdTriple(u=u, sigma=sigma * scale, v=v)
 
 
 def spectral_power_exact(o: Matrix, p: float) -> Matrix:
@@ -188,7 +138,7 @@ def spectral_power_exact(o: Matrix, p: float) -> Matrix:
     """
     if not 0.0 <= float(p) <= 1.0:
         raise PreconditionError(f"power must lie in [0, 1], got {p}")
-    triple = svd_via_gram(o)
+    triple = jacobi_svd(o)
     if float(p) == 0.0 and triple.rank < min(o.shape):
         raise PreconditionError(
             f"zero power needs full rank: rank {triple.rank} < min(shape) {min(o.shape)}"
@@ -202,7 +152,7 @@ def cond_number(o: Matrix) -> float:
     Raises InfiniteConditionError when the matrix is rank deficient at the
     cutoff.
     """
-    triple = svd_via_gram(o)
+    triple = jacobi_svd(o)
     if triple.rank < min(o.shape):
         raise InfiniteConditionError(
             f"rank {triple.rank} < min(shape) {min(o.shape)}: condition number is infinite"

@@ -34,12 +34,15 @@ class SweepPlan:
             raise ConfigError("coarse_grid must not be empty")
         if not all(math.isfinite(lr) and lr > 0 for lr in self.coarse_grid):
             raise ConfigError("coarse_grid entries must be finite and positive")
-        if list(self.coarse_grid) != sorted(self.coarse_grid):
-            raise ConfigError("coarse_grid must be sorted ascending")
+        # A repeated learning rate or factor would run the same trial twice.
+        if any(b <= a for a, b in zip(self.coarse_grid, self.coarse_grid[1:])):
+            raise ConfigError("coarse_grid must be strictly ascending")
         if not self.refine_factor_grid or not all(
             math.isfinite(f) and f > 0 for f in self.refine_factor_grid
         ):
             raise ConfigError("refine_factor_grid must hold finite positive factors")
+        if len(set(self.refine_factor_grid)) < len(self.refine_factor_grid):
+            raise ConfigError("refine_factor_grid must not repeat a factor")
         if self.max_fine_rounds < 0:
             raise ConfigError("max_fine_rounds must be >= 0")
 

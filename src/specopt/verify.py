@@ -41,7 +41,7 @@ from .optim import (
     step_vector_param,
     update_moments,
 )
-from .oracle import cond_number, spectral_power_exact, svd_via_gram
+from .oracle import cond_number, jacobi_svd, spectral_power_exact
 from .synth import random_spd, spectrum_matrix
 from .tasks import make_task
 
@@ -89,7 +89,7 @@ def check_fixture_spectrum() -> str:
     )
     worst = 0.0
     for p, want in cases:
-        got = svd_via_gram(spectral_power_exact(_FIXTURE, p)).sigma
+        got = jacobi_svd(spectral_power_exact(_FIXTURE, p)).sigma
         worst = max(worst, float(np.max(np.abs(got - np.array(want)))))
     return _require(
         worst <= calibration.ORACLE_FIXTURE_TOL,
@@ -105,7 +105,7 @@ def check_oracle_laws(rng: np.random.Generator, draws: int) -> str:
         cols = int(rng.integers(5, 41))
         cond = float(10.0 ** rng.uniform(0.0, 4.0))
         m = spectrum_matrix(rng, rows, cols, cond)
-        tr = svd_via_gram(m)
+        tr = jacobi_svd(m)
         k = tr.sigma.size
         worst_orth = max(
             worst_orth,
@@ -154,7 +154,7 @@ def check_kernels_vs_oracle(
         worst_quarter = max(worst_quarter, frobenius_norm(quarter - want) / frobenius_norm(want))
 
         polar, _ = spectral_transform(m, SpectralExponent.ZERO, iters, zero_method="cubic")
-        tr = svd_via_gram(m)
+        tr = jacobi_svd(m)
         want = tr.u @ tr.v.T
         worst_polar = max(worst_polar, frobenius_norm(polar - want) / frobenius_norm(want))
     return _require(
@@ -181,7 +181,7 @@ def check_quintic_band(
             cond = float(10.0 ** rng.uniform(0.0, 2.0))
             m = spectrum_matrix(rng, rows, cols, cond)
             out, _ = spectral_transform(m, SpectralExponent.ZERO, iters)
-            sig = svd_via_gram(out).sigma
+            sig = jacobi_svd(out).sigma
             seen_lo = min(seen_lo, float(sig[-1]))
             seen_hi = max(seen_hi, float(sig[0]))
     return _require(

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specopt import oracle
 from specopt.cli import (
     _SWEEP_KEYS,
     EXIT_CHECK_FAILED,
@@ -250,6 +251,16 @@ def test_transform_numeric_failure_exits_three_with_diagnostics(tmp_path, capsys
     assert "pass_residuals=['" in err  # the stalled cubic pass's final residual
 
 
+def test_transform_oracle_out_of_sweeps_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "_SWEEP_CAP", 1)
+    src = tmp_path / "in.mat"
+    write_matrix(src, np.random.default_rng(0).standard_normal((6, 4)))
+    code = main(["transform", str(src), str(tmp_path / "out.mat"),
+                 "--p", "0.5", "--method", "oracle"])
+    assert code == EXIT_DIVERGED
+    assert "numerical failure:" in capsys.readouterr().err
+
+
 # --- verify -----------------------------------------------------------------
 
 
@@ -427,6 +438,17 @@ def test_sweep_all_diverged_exits_three(tmp_path, capsys):
     assert summary["all_diverged"] is True
     assert summary["best"] is None
     assert summary["per_optimizer"]["msgd"]["best_lr"] is None
+
+
+def test_sweep_repeated_lr_or_factor_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    for override, message in (("lr_grid=0.1,0.1,1", "strictly ascending"),
+                              ("refine_factors=0.5,0.5", "repeat a factor")):
+        code = main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "o"),
+                     "--set", override])
+        assert code == EXIT_USER_ERROR, override
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_requires_lr_grid(tmp_path, capsys):

@@ -25,7 +25,7 @@ from specopt.kernels import (
     polar_quintic,
     spectral_transform,
 )
-from specopt.oracle import svd_via_gram
+from specopt.oracle import jacobi_svd
 from specopt.synth import random_orthogonal, random_spd, spectrum_matrix
 
 FIXTURE5 = np.diag([9.0, 4.0, 1.0, 0.01, 0.0001])
@@ -36,7 +36,7 @@ def rel_err(got, want):
 
 
 def oracle_power(a, p):
-    tri = svd_via_gram(a)
+    tri = jacobi_svd(a)
     return (tri.u * tri.sigma ** p) @ tri.v.T
 
 
@@ -89,7 +89,7 @@ def test_quintic_diagonal_fixture_band():
     # recorded once for this specific spectrum: the smallest direction has
     # not finished climbing after five steps
     out, _ = polar_quintic(np.diag([9.0, 4.0, 1.0, 0.01]))
-    sv = svd_via_gram(out).sigma
+    sv = jacobi_svd(out).sigma
     assert sv[0] <= 1.11
     assert sv[-1] >= 0.46
 
@@ -99,7 +99,7 @@ def test_quintic_band_on_normalized_inputs():
     for _ in range(15):
         a = spectrum_matrix(rng, int(rng.integers(4, 30)), int(rng.integers(4, 25)),
                             float(10.0 ** rng.uniform(0.0, 2.0)))
-        sv = svd_via_gram(polar_quintic(a)[0]).sigma
+        sv = jacobi_svd(polar_quintic(a)[0]).sigma
         assert sv[0] <= QUINTIC_SV_BAND[1]
         assert sv[-1] >= QUINTIC_SV_BAND[0]
 
@@ -135,7 +135,7 @@ def test_cubic_matches_oracle_polar():
     rng = np.random.default_rng(3)
     for _ in range(10):
         a = spectrum_matrix(rng, 6, 4, float(10.0 ** rng.uniform(0.0, 2.0)))
-        tri = svd_via_gram(a)
+        tri = jacobi_svd(a)
         out, diag = polar_cubic(a)
         assert rel_err(out, tri.u @ tri.v.T) <= REL_TOL_POLAR_CUBIC
         assert len(diag.residual_per_iter) == diag.iterations_run
@@ -261,10 +261,10 @@ def test_transform_fixture_half_and_quarter():
     # zone, so spend extra iterations; the early exit stops the loop once
     # the residual bottoms out (52 and 84 steps respectively)
     out, _ = spectral_transform(FIXTURE5, SpectralExponent.HALF, iters=40)
-    sv = np.sort(svd_via_gram(out).sigma)[::-1]
+    sv = np.sort(jacobi_svd(out).sigma)[::-1]
     assert np.max(np.abs(sv - [3.0, 2.0, 1.0, 0.1, 0.01])) <= 1e-9
     out, _ = spectral_transform(FIXTURE5, SpectralExponent.QUARTER, iters=40)
-    sv = np.sort(svd_via_gram(out).sigma)[::-1]
+    sv = np.sort(jacobi_svd(out).sigma)[::-1]
     want = np.sqrt([3.0, 2.0, 1.0, 0.1, 0.01])
     assert np.max(np.abs(sv - want)) <= 1e-9
 
@@ -292,12 +292,12 @@ def test_transform_identity_matrix_fixed_point():
 def test_transform_zero_methods():
     rng = np.random.default_rng(10)
     a = spectrum_matrix(rng, 6, 4, 20.0)
-    tri = svd_via_gram(a)
+    tri = jacobi_svd(a)
     polar = tri.u @ tri.v.T
     cubic, _ = spectral_transform(a, SpectralExponent.ZERO, zero_method="cubic")
     assert rel_err(cubic, polar) <= REL_TOL_POLAR_CUBIC
     quintic, _ = spectral_transform(a, SpectralExponent.ZERO)
-    sv = svd_via_gram(quintic).sigma
+    sv = jacobi_svd(quintic).sigma
     assert sv[0] <= QUINTIC_SV_BAND[1]
     assert sv[-1] >= QUINTIC_SV_BAND[0]
     with pytest.raises(PreconditionError):

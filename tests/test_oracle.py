@@ -1,4 +1,4 @@
-"""Exact spectral oracle: Jacobi eigensolver, Gram-route SVD, spectral powers.
+"""Exact spectral oracle: one-sided Jacobi SVD, spectral powers, condition numbers.
 
 The oracle is the reference everything else is judged against, so its own
 tests use only hand-derived values, numpy's independent SVD, and algebraic
@@ -10,13 +10,16 @@ import warnings
 import numpy as np
 import pytest
 
+from specopt import oracle
 from specopt.errors import (
     InfiniteConditionError,
+    NonFiniteError,
+    OracleConvergenceError,
     PreconditionError,
     ShapeError,
     ZeroMatrixError,
 )
-from specopt.oracle import cond_number, jacobi_eigh, spectral_power_exact, svd_via_gram
+from specopt.oracle import RANK_TOLERANCE, cond_number, jacobi_svd, spectral_power_exact
 from specopt.synth import random_orthogonal, spectrum_matrix
 
 FIXTURE = np.diag([9.0, 4.0, 1.0, 0.01, 0.0001])
@@ -26,67 +29,22 @@ def orth_defect(q):
     return float(np.linalg.norm(q.T @ q - np.eye(q.shape[1])))
 
 
-# --- jacobi_eigh ----------------------------------------------------------
+def numpy_power(a, p):
+    """U diag(sigma^p) V^T from numpy's SVD, truncated at the oracle's cutoff."""
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    keep = sigma > RANK_TOLERANCE * sigma[0]
+    return (u[:, keep] * sigma[keep] ** p) @ vt[keep]
 
 
-def test_jacobi_diagonal_input():
-    vals, vecs = jacobi_eigh(np.diag([5.0, 2.0]))
-    assert np.array_equal(vals, [5.0, 2.0])
-    assert np.array_equal(vecs, np.eye(2))
+def rel_err(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
 
 
-def test_jacobi_two_by_two_hand_values():
-    # characteristic polynomial of [[2,1],[1,2]]: (2-l)^2 = 1 -> l = 3, 1
-    vals, vecs = jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(vals, [3.0, 1.0], atol=1e-12)
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(a @ vecs, vecs * vals, atol=1e-12)
-
-
-def test_jacobi_similarity_invariance():
-    rng = np.random.default_rng(0)
-    s = rng.standard_normal((6, 6))
-    s = 0.5 * (s + s.T)
-    q = random_orthogonal(rng, 6)
-    vals_a, _ = jacobi_eigh(s)
-    vals_b, _ = jacobi_eigh(0.5 * ((q @ s @ q.T) + (q @ s @ q.T).T))
-    assert np.max(np.abs(vals_a - vals_b)) <= 1e-10 * max(1.0, np.max(np.abs(vals_a)))
-
-
-def test_jacobi_eigenpairs_reconstruct():
-    rng = np.random.default_rng(1)
-    s = rng.standard_normal((8, 8))
-    s = 0.5 * (s + s.T)
-    vals, vecs = jacobi_eigh(s)
-    assert np.all(np.diff(vals) <= 0.0)
-    assert orth_defect(vecs) <= 1e-12
-    assert np.linalg.norm((vecs * vals) @ vecs.T - s) <= 1e-12 * np.linalg.norm(s)
-
-
-def test_jacobi_takes_a_tiny_pivot_without_overflow():
-    # theta = (a_qq - a_pp) / (2 a_pq) reaches 5e159 on the (0, 1) pivot;
-    # squaring it would overflow.
-    a = np.array([[1.0, 1e-160, 0.5], [1e-160, 2.0, 0.0], [0.5, 0.0, 3.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        vals, vecs = jacobi_eigh(a)
-    assert np.allclose(vals, np.linalg.eigvalsh(a)[::-1], rtol=0.0, atol=1e-14)
-    assert orth_defect(vecs) <= 1e-14
-    assert np.linalg.norm((vecs * vals) @ vecs.T - a) <= 1e-14
-
-
-def test_jacobi_input_validation():
-    with pytest.raises(ShapeError):
-        jacobi_eigh(np.zeros((2, 3)))
-    with pytest.raises(PreconditionError):
-        jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-# --- svd_via_gram ---------------------------------------------------------
+# --- jacobi_svd -----------------------------------------------------------
 
 
 def test_svd_diagonal():
-    tri = svd_via_gram(np.diag([3.0, 2.0]))
+    tri = jacobi_svd(np.diag([3.0, 2.0]))
     assert np.allclose(tri.sigma, [3.0, 2.0], atol=1e-12)
 
 
@@ -96,7 +54,7 @@ def test_svd_rank_one_outer_product():
     u *= 2.0 / np.linalg.norm(u)
     v = rng.standard_normal(3)
     v /= np.linalg.norm(v)
-    tri = svd_via_gram(np.outer(u, v))
+    tri = jacobi_svd(np.outer(u, v))
     assert tri.rank == 1
     assert abs(tri.sigma[0] - 2.0) <= 1e-12
 
@@ -105,7 +63,7 @@ def test_svd_invariants_random():
     rng = np.random.default_rng(3)
     for shape in ((7, 4), (4, 7), (6, 6)):
         a = rng.standard_normal(shape)
-        tri = svd_via_gram(a)
+        tri = jacobi_svd(a)
         assert np.all(np.diff(tri.sigma) <= 0.0)
         assert np.all(tri.sigma > 0.0)
         assert orth_defect(tri.u) <= 1e-10
@@ -114,12 +72,12 @@ def test_svd_invariants_random():
 
 
 def test_svd_invariants_hold_at_stiff_spectra():
-    # condition numbers up to the tested cap of 1e4, where the Gram route
-    # squares the conditioning; the recovered factor must stay orthonormal
+    # condition numbers up to 1e4; the normalized columns must stay
+    # orthonormal
     rng = np.random.default_rng(4)
     for _ in range(10):
         a = spectrum_matrix(rng, 20, 12, 1e4)
-        tri = svd_via_gram(a)
+        tri = jacobi_svd(a)
         assert orth_defect(tri.u) <= 1e-10
         assert orth_defect(tri.v) <= 1e-10
         assert np.linalg.norm(tri.reconstruct() - a) <= 1e-9 * np.linalg.norm(a)
@@ -130,7 +88,7 @@ def test_svd_invariants_hold_at_near_tied_small_singular_values():
     sig = np.concatenate([np.logspace(0, -3.5, 10), [1e-4 * (1 + 1e-9), 1e-4]])
     u = random_orthogonal(rng, 12)
     v = random_orthogonal(rng, 12)
-    tri = svd_via_gram((u * sig) @ v.T)
+    tri = jacobi_svd((u * sig) @ v.T)
     assert np.all(np.diff(tri.sigma) <= 0.0)
     assert orth_defect(tri.u) <= 1e-10
     assert orth_defect(tri.v) <= 1e-10
@@ -139,13 +97,13 @@ def test_svd_invariants_hold_at_near_tied_small_singular_values():
 def test_svd_matches_numpy_singular_values():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((9, 5))
-    tri = svd_via_gram(a)
+    tri = jacobi_svd(a)
     assert np.allclose(tri.sigma, np.linalg.svd(a, compute_uv=False), atol=1e-10)
 
 
 def test_svd_truncates_below_rank_tolerance():
     a = np.diag([1.0, 1e-14])
-    tri = svd_via_gram(a)
+    tri = jacobi_svd(a)
     assert tri.rank == 1
     assert tri.u.shape == (2, 1)
     assert tri.v.shape == (2, 1)
@@ -153,25 +111,71 @@ def test_svd_truncates_below_rank_tolerance():
 
 def test_svd_zero_matrix_rejected():
     with pytest.raises(ZeroMatrixError):
-        svd_via_gram(np.zeros((3, 3)))
+        jacobi_svd(np.zeros((3, 3)))
+
+
+def test_svd_input_validation():
+    with pytest.raises(ShapeError):
+        jacobi_svd(np.ones(3))
+    with pytest.raises(NonFiniteError):
+        jacobi_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(NonFiniteError):
+        jacobi_svd(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+def test_svd_raises_when_the_sweep_cap_is_hit(monkeypatch):
+    monkeypatch.setattr(oracle, "_SWEEP_CAP", 1)
+    with pytest.raises(OracleConvergenceError, match="after 1 sweeps"):
+        jacobi_svd(np.random.default_rng(0).standard_normal((6, 4)))
+
+
+def test_powers_match_numpy_at_kappa_1e8():
+    # Through the Gram matrix (kappa**2 = 1e16) these were 2.6e-5, 1.3e-3
+    # and 0.24 off.
+    a = spectrum_matrix(np.random.default_rng(1), 48, 32, 1e8)
+    assert rel_err(spectral_power_exact(a, 0.5), numpy_power(a, 0.5)) <= 1e-9
+    assert rel_err(spectral_power_exact(a, 0.25), numpy_power(a, 0.25)) <= 1e-9
+    # Any backward-stable SVD fixes sigma_min only to about eps * sigma_max,
+    # here eps * kappa = 2e-8 relative; numpy's own value is about 1e-9 off.
+    sigma = np.linalg.svd(a, compute_uv=False)
+    assert abs(cond_number(a) - sigma[0] / sigma[-1]) <= 1e-8 * sigma[0] / sigma[-1]
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e200])
+def test_half_power_is_exact_far_from_unit_scale(scale):
+    # The Gram matrix of these underflows or overflows.
+    a = spectrum_matrix(np.random.default_rng(0), 12, 8, 10.0) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spectral_power_exact(a, 0.5)
+    assert rel_err(got, numpy_power(a, 0.5)) <= 1e-12
+
+
+def test_rank_deficient_product_keeps_its_rank():
+    # Rank 16 with kappa about 1e4 on its range: 5e-11 off through the Gram
+    # matrix.
+    rng = np.random.default_rng(2)
+    a = spectrum_matrix(rng, 64, 16, 1e4) @ rng.standard_normal((16, 48))
+    assert jacobi_svd(a).rank == 16
+    assert rel_err(spectral_power_exact(a, 0.5), numpy_power(a, 0.5)) <= 1e-12
 
 
 # --- spectral_power_exact ------------------------------------------------
 
 
 def test_power_fixture_half():
-    got = np.sort(svd_via_gram(spectral_power_exact(FIXTURE, 0.5)).sigma)[::-1]
+    got = np.sort(jacobi_svd(spectral_power_exact(FIXTURE, 0.5)).sigma)[::-1]
     assert np.max(np.abs(got - [3.0, 2.0, 1.0, 0.1, 0.01])) <= 1e-12
 
 
 def test_power_fixture_quarter():
-    got = np.sort(svd_via_gram(spectral_power_exact(FIXTURE, 0.25)).sigma)[::-1]
+    got = np.sort(jacobi_svd(spectral_power_exact(FIXTURE, 0.25)).sigma)[::-1]
     want = np.sqrt([3.0, 2.0, 1.0, 0.1, 0.01])
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_power_fixture_zero_flattens_to_ones():
-    got = svd_via_gram(spectral_power_exact(FIXTURE, 0.0)).sigma
+    got = jacobi_svd(spectral_power_exact(FIXTURE, 0.0)).sigma
     assert np.max(np.abs(got - 1.0)) <= 1e-12
 
 

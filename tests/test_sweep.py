@@ -63,6 +63,15 @@ def test_plan_validation():
     assert plan.max_fine_rounds == 8
 
 
+def test_plan_rejects_a_repeated_lr_or_factor():
+    # Either would run the same trial twice: lr_grid 0.1,0.1,1 with factors
+    # 0.5,0.5 used to make five runs for three trials.
+    with pytest.raises(ConfigError, match="strictly ascending"):
+        SweepPlan(coarse_grid=(0.1, 0.1, 1.0))
+    with pytest.raises(ConfigError, match="repeat a factor"):
+        SweepPlan(coarse_grid=(0.1, 1.0), refine_factor_grid=(0.5, 0.5))
+
+
 # --- trial ranking ----------------------------------------------------------
 
 
