@@ -381,7 +381,9 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("output", help="output matrix file")
     tr.add_argument("--p", required=True, help="exponent token: 1, 0.5, 0.25, or 0")
     tr.add_argument("--method", choices=("ns", "oracle"), default="ns")
-    tr.add_argument("--iters", type=iters, default=None, help="iteration override")
+    tr.add_argument("--iters", type=iters, default=None,
+                    help="iteration override: steps of the one root pass for p=0.5 and 0.25, "
+                    "quintic steps or cubic updates for p=0")
     tr.add_argument("--zero-method", choices=("quintic", "cubic"), default="quintic",
                     help="polar kernel for p=0")
     tr.set_defaults(fn=cmd_transform)

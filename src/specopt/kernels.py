@@ -1,7 +1,7 @@
 """Iterative matrix-root kernels built from matrix multiplications only.
 
 Everything here approximates a spectral-power transform without forming an
-SVD. The three building blocks are
+SVD. The four building blocks are
 
 * a quintic polar iteration that pushes every singular value into a fixed
   band around 1 (it oscillates inside that band rather than converging to
@@ -10,14 +10,16 @@ SVD. The three building blocks are
   evaluated in coupled form for numerical stability,
 * a coupled square-root iteration for symmetric positive definite input
   that returns the matrix square root together with its inverse, plus a
-  two-pass variant for the quarter root.
+  two-pass variant for the quarter root,
+* a coupled Newton iteration for the inverse q-th root of a symmetric
+  positive definite matrix (Guo & Higham 2006), one pass for q = 4 or 8.
 
 The assembled ``spectral_transform`` keeps a matrix's singular vectors and
 raises its singular values to a power in {1, 1/2, 1/4, 0}:
 
     p = 1    identity (no iterations),
-    p = 1/2  O (O^T O)^(-1/4) via the two-pass quarter root,
-    p = 1/4  the p = 1/2 transform applied twice,
+    p = 1/2  O (O^T O)^(-1/4): one inverse 4th-root pass,
+    p = 1/4  O (O^T O)^(-3/8): one inverse 8th-root pass, its result cubed,
     p = 0    the polar factor via the quintic (default) or cubic iteration.
 
 All kernels internally work with at least as many rows as columns,
@@ -30,9 +32,13 @@ Matmul counts, with n x n products on the small side n:
     quintic, k steps          3k + 1 (Z^T Z, B^2 and the update per step,
                               plus the final Z^T Z)
     cubic polar               a coupled pass plus the Gram and output products
-    p = 1/2                   two coupled passes plus the Gram and output
-                              products: 3(k1 + k2) for k1 + k2 updates
-    p = 1/4                   two p = 1/2 transforms
+    root pass, k steps        4k - 1 for q = 4 (T^2, T^4, T^4 M and X T per
+                              step; X_1 = T saves one), 5k - 1 for q = 8
+                              (one more squaring)
+    p = 1/2                   a q = 4 pass plus the Gram and output
+                              products: 4k + 1
+    p = 1/4                   a q = 8 pass, two products for X^3, the Gram
+                              and the output: 5k + 3
 
 At the small shapes training uses (96x16, 32x24) an iteration is bound by
 numpy call overhead rather than by BLAS, so each loop makes as few numpy
@@ -66,6 +72,7 @@ from .errors import (
 DEFAULT_POLAR_ITERS = 5      # quintic; more iterations keep cycling the band
 DEFAULT_CUBIC_ITERS = 40     # cubic polar, with early exit well before that
 DEFAULT_COUPLED_ITERS = 15   # coupled square root, per pass
+DEFAULT_ROOT_STEPS = 18      # the one inverse-root pass of p = 1/2 and 1/4
 
 _CUBIC_EXIT = 1e-12
 _CUBIC_RESIDUAL_CEILING = 0.5
@@ -116,16 +123,18 @@ class KernelDiagnostics:
     """Run log of one kernel invocation.
 
     scale_alpha is the first Frobenius normalizer: the divisor of the input
-    for the quintic and coupled iterations, and the multiplier applied to
-    the Gram matrix (1 / ||M^T M||_F) for the cubic iteration. scale_beta is
-    the second-pass normalizer of the quarter root when one ran.
-    residual_per_iter holds one entry per iteration actually performed:
-    ||Z_k Y_k - I||_F for coupled runs and the orthogonality defect
-    ||P_k^T P_k - I||_F for polar runs. pass_residuals holds the final
-    ||Z Y - I||_F of each coupled pass in order (one for the cubic polar and
-    the square root, two per half transform, none for the quintic), so a
-    pass that stopped short of convergence shows even when a later pass
-    ends with a small residual.
+    for the quintic and coupled iterations (for p = 1/2 and 1/4, of the Gram
+    matrix O^T O), and the multiplier applied to the Gram matrix
+    (1 / ||M^T M||_F) for the cubic iteration. scale_beta is the second-pass
+    normalizer of coupled_ns_quarter and None for every other kernel,
+    spectral_transform included. residual_per_iter holds one entry per
+    iteration actually performed: ||Z_k Y_k - I||_F for coupled square-root
+    runs, ||M_k - I||_F for the inverse-root pass of p = 1/2 and 1/4, and
+    the orthogonality defect ||P_k^T P_k - I||_F for polar runs.
+    pass_residuals holds the final residual of each coupled pass in order:
+    one for the cubic polar, the square root and each p = 1/2 or 1/4
+    transform, two for coupled_ns_quarter (so a first pass that stopped
+    short shows even when the second ends small), none for the quintic.
     """
 
     iterations_run: int
@@ -324,12 +333,8 @@ def coupled_ns_quarter(
     its square root. ``iters`` applies per pass; diagnostics concatenate
     both passes' residual histories and list each pass's final residual.
     """
-    return _quarter_core(_symmetric_input(x, "quarter root", iters, "quarter pass 1"), iters)
-
-
-def _quarter_core(x: np.ndarray, iters: int) -> tuple[Matrix, Matrix, KernelDiagnostics]:
-    """coupled_ns_quarter on an exactly symmetric ``x`` and ``iters >= 1``."""
-    y1, _, alpha, res1, up1 = _coupled_core(x, iters, _COUPLED_EXIT, "quarter pass 1")
+    a = _symmetric_input(x, "quarter root", iters, "quarter pass 1")
+    y1, _, alpha, res1, up1 = _coupled_core(a, iters, _COUPLED_EXIT, "quarter pass 1")
     half = float(np.sqrt(alpha)) * y1
     half = 0.5 * (half + half.T)
     y2, z2, beta, res2, up2 = _coupled_core(half, iters, _COUPLED_EXIT, "quarter pass 2")
@@ -338,14 +343,51 @@ def _quarter_core(x: np.ndarray, iters: int) -> tuple[Matrix, Matrix, KernelDiag
     return root * y2, z2 / root, diag
 
 
-def _merge_diagnostics(first: KernelDiagnostics, second: KernelDiagnostics) -> KernelDiagnostics:
-    return KernelDiagnostics(
-        iterations_run=first.iterations_run + second.iterations_run,
-        scale_alpha=first.scale_alpha,
-        scale_beta=second.scale_beta,
-        residual_per_iter=first.residual_per_iter + second.residual_per_iter,
-        pass_residuals=first.pass_residuals + second.pass_residuals,
-    )
+def _inverse_root_core(
+    a: np.ndarray, q: int, iters: int, label: str
+) -> tuple[np.ndarray, float, list[float], int]:
+    """One coupled Newton pass for the inverse q-th root, q in {4, 8}.
+
+    Callers pass an exactly symmetric ``a`` and ``iters >= 1``. With
+    M_0 = a / alpha, alpha = ||a||_F, each step takes T = ((q + 1) I - M) / q,
+    then X <- X T (X_1 = T) and M <- T^q M, T^q by repeated squaring, so
+    M_k = X_k^q M_0 tends to I and X_k to M_0^(-1/q) (Guo & Higham 2006).
+    Returns X_K, alpha, the history of ||M_k - I||_F and the number of
+    steps; a^(-1/q) is X_K alpha^(-1/q). k steps cost (log2(q) + 2) k - 1
+    matmuls: X_1 = T saves one.
+    """
+    alpha = frobenius_norm(a)
+    if alpha == 0.0:
+        raise DegenerateInputError(f"{label}: zero matrix has no inverse root")
+    eye = np.eye(a.shape[0])
+    eye_q1 = (q + 1) * eye
+    squarings = q.bit_length() - 1
+    m = a / alpha
+    x = None
+    updates = 0
+    residuals: list[float] = []
+    while True:
+        t = (eye_q1 - m) / q
+        x = t if x is None else x.dot(t)
+        tq = t
+        for _ in range(squarings):
+            tq = tq.dot(tq)
+        m = tq.dot(m)
+        updates += 1
+        res = _residual(m, eye, label, updates, alpha, residuals)
+        if updates >= iters or res <= _COUPLED_EXIT:
+            return x, alpha, residuals, updates
+        # The spectrum of M stays in (0, 1]; growth means blow-up.
+        if res > residuals[0] * 2.0 + 10.0:
+            raise KernelDivergenceError(
+                f"{label}: residual grew to {res:.3e}",
+                diagnostics=KernelDiagnostics(updates, alpha, None, residuals),
+            )
+
+
+# O (O^T O)^(-j/q) has singular values sigma^p for p = 1 - 2 j / q: the
+# root degree q and the power j of the inverse root, per exponent.
+_ROOTS = {SpectralExponent.HALF: (4, 1), SpectralExponent.QUARTER: (8, 3)}
 
 
 def spectral_transform(
@@ -356,14 +398,17 @@ def spectral_transform(
 ) -> tuple[Matrix, KernelDiagnostics]:
     """Raise the singular values of ``o`` to the chosen power, SVD-free.
 
-    ``iters`` is the per-kernel iteration count (per pass for the coupled
-    root); None picks the per-exponent default. ``zero_method`` selects the
-    polar kernel for the zero power: "quintic" (band around 1) or "cubic"
-    (fully converged polar). The identity power performs zero iterations.
+    ``iters`` is the kernel's iteration count: steps of the one inverse-root
+    pass for p = 1/2 and 1/4, quintic steps or cubic updates for p = 0; None
+    picks the per-exponent default. ``zero_method`` selects the polar kernel
+    for the zero power: "quintic" (band around 1) or "cubic" (fully
+    converged polar). The identity power performs zero iterations.
 
-    For the compressing powers the iteration budget must suit the input's
-    conditioning: the defaults are calibrated for condition numbers up to
-    about 100; far stiffer spectra need more iterations per pass.
+    p = 1/2 and 1/4 return O A^(-1/4) and O (A^(-1/8))^3 from one inverse-root
+    pass on the small-side Gram matrix A = O^T O. The default budget suits
+    condition numbers up to about 100; far stiffer spectra need more steps.
+    A residual that is non-finite or grows, or a non-finite output, raises
+    KernelDivergenceError.
     """
     a = _validate_input(o)
     if exponent is SpectralExponent.ONE:
@@ -379,33 +424,39 @@ def spectral_transform(
         except ToolkitError as exc:
             raise tagged(exc, f"spectral transform p=0.0 method={zero_method}") from exc
 
-    k = iters if iters is not None else DEFAULT_COUPLED_ITERS
     try:
-        if exponent is SpectralExponent.HALF:
-            return _half_transform(a, k)
-        # QUARTER: compose the half transform with itself.
-        first, diag1 = _half_transform(a, k)
-        second, diag2 = _half_transform(first, k)
+        return _root_transform(a, *_ROOTS[exponent],
+                               iters if iters is not None else DEFAULT_ROOT_STEPS)
     except ToolkitError as exc:
         raise tagged(exc, f"spectral transform p={exponent.power}") from exc
-    return second, _merge_diagnostics(diag1, diag2)
 
 
-def _half_transform(a: np.ndarray, iters: int) -> tuple[Matrix, KernelDiagnostics]:
-    """O (O^T O)^(-1/4) for a validated ``a``, on its smaller side.
+def _root_transform(a: np.ndarray, q: int, j: int, iters: int) -> tuple[Matrix, KernelDiagnostics]:
+    """O (O^T O)^(-j/q) for a validated ``a``, on its smaller side.
 
     The Gram matrix is exactly symmetric (dense.gram), so it goes to the
-    quarter root without coupled_ns_quarter's symmetry check. A finite input
-    with entries beyond about 1e154 overflows it: a NonFiniteError says so.
+    inverse root without a symmetry check. A finite input with entries
+    beyond about 1e154 overflows it: a NonFiniteError says so. Along an
+    exact null direction X grows by (q + 1)/q a step while M stays finite,
+    so after thousands of steps X can overflow; the output's finiteness
+    check reports that without a RuntimeWarning first.
     """
     transposed = a.shape[0] < a.shape[1]
     work = a.T if transposed else a
     with np.errstate(over="ignore", invalid="ignore"):
-        x = gram(work)
-    if not np.isfinite(x).all():
-        raise NonFiniteError("Gram matrix overflowed: input entries are too large to square")
-    if iters < 1:
-        raise PreconditionError(f"iteration count must be >= 1, got {iters}")
-    _, inv_quarter, diag = _quarter_core(x, iters)
-    out = work.dot(inv_quarter)
+        g = gram(work)
+        if not np.isfinite(g).all():
+            raise NonFiniteError("Gram matrix overflowed: input entries are too large to square")
+        if iters < 1:
+            raise PreconditionError(f"iteration count must be >= 1, got {iters}")
+        label = f"inverse {q}th root"
+        x, alpha, residuals, updates = _inverse_root_core(g, q, iters, label)
+        xj = x
+        for _ in range(j - 1):
+            xj = xj.dot(x)
+        out = work.dot(xj * alpha ** (-j / q))
+    diag = KernelDiagnostics(updates, alpha, None, residuals, [residuals[-1]])
+    if not np.isfinite(out).all():
+        raise KernelDivergenceError(
+            f"{label}: the root iterate overflowed after {updates} steps", diagnostics=diag)
     return (out.T.copy() if transposed else out), diag

@@ -223,7 +223,7 @@ def test_transform_sidecar_lists_each_pass_residual(tmp_path):
     write_matrix(src, FIXTURE5)
     assert main(["transform", str(src), str(tmp_path / "out.mat"), "--p", "0.25"]) == EXIT_OK
     sidecar = json.loads((tmp_path / "out.mat.diag.json").read_text())
-    assert len(sidecar["pass_residuals"]) == 4  # two coupled passes per half transform
+    assert len(sidecar["pass_residuals"]) == 1  # one inverse-root pass per transform
     assert sidecar["pass_residuals"][-1] == sidecar["residuals"][-1]
 
 

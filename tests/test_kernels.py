@@ -17,6 +17,7 @@ from specopt.errors import (
     ShapeError,
 )
 from specopt.kernels import (
+    DEFAULT_ROOT_STEPS,
     QUINTIC_COEFFICIENTS,
     SpectralExponent,
     coupled_ns_quarter,
@@ -25,7 +26,7 @@ from specopt.kernels import (
     polar_quintic,
     spectral_transform,
 )
-from specopt.oracle import jacobi_svd
+from specopt.oracle import jacobi_svd, spectral_power_exact
 from specopt.synth import random_orthogonal, random_spd, spectrum_matrix
 
 FIXTURE5 = np.diag([9.0, 4.0, 1.0, 0.01, 0.0001])
@@ -347,20 +348,81 @@ def test_transform_names_an_overflowed_gram():
             spectral_transform(np.full((4, 3), 1e160), exponent)
 
 
-def test_transform_reports_an_unconverged_pass_behind_a_converged_one():
-    # At kappa 1e4 the default 15 iterations per pass leave the first half
-    # transform far from converged; the second half transform converges on
-    # its already flattened input, so the concatenated history ends small
-    # while the quarter power is about 8e-2 off.
+def test_transform_reports_an_unconverged_pass():
+    # At kappa 1e4 the default budget leaves the one inverse-root pass far
+    # from converged (p = 1/2 is about 6e-3 off, p = 1/4 about 4e-2), and
+    # its one pass residual says so.
     a = spectrum_matrix(np.random.default_rng(0), 128, 128, 1e4)
-    _, half = spectral_transform(a, SpectralExponent.HALF)
-    _, quarter = spectral_transform(a, SpectralExponent.QUARTER)
-    assert len(half.pass_residuals) == 2
-    assert len(quarter.pass_residuals) == 4
-    assert quarter.pass_residuals[:2] == half.pass_residuals
-    assert quarter.residual_per_iter[-1] < 1e-12
-    assert quarter.pass_residuals[-1] == quarter.residual_per_iter[-1]
-    assert quarter.pass_residuals[0] > 1.0
+    for exponent in (SpectralExponent.HALF, SpectralExponent.QUARTER):
+        _, diag = spectral_transform(a, exponent)
+        assert diag.iterations_run == DEFAULT_ROOT_STEPS
+        assert diag.scale_beta is None
+        assert diag.pass_residuals == [diag.residual_per_iter[-1]]
+        assert diag.pass_residuals[0] > 1.0
+
+
+@pytest.mark.parametrize("exponent", [SpectralExponent.HALF, SpectralExponent.QUARTER])
+def test_transform_is_exact_on_well_conditioned_spectra(exponent):
+    # Two composed square-root passes left 4.9e-5 (p = 1/2) and 6.0e-5
+    # (p = 1/4) on the first input, and up to 2.9e-4 and 4.5e-4 on the
+    # calibration's worst case at kappa 100: a dense spectrum with one 1e-2
+    # singular value.
+    a = spectrum_matrix(np.random.default_rng(0), 128, 128, 1e2)
+    want = spectral_power_exact(a, exponent.power)
+    assert rel_err(spectral_transform(a, exponent)[0], want) <= 1e-12
+    rng = np.random.default_rng(0)
+    for rows, cols in ((64, 48), (48, 64), (32, 24), (16, 8)):
+        k = min(rows, cols)
+        sigma = np.ones(k)
+        sigma[-1] = 1e-2
+        a = (random_orthogonal(rng, rows)[:, :k] * sigma) @ random_orthogonal(rng, cols)[:, :k].T
+        want = spectral_power_exact(a, exponent.power)
+        assert rel_err(spectral_transform(a, exponent)[0], want) <= 1e-10, (rows, cols)
+
+
+@pytest.mark.parametrize("exponent,tol", [
+    (SpectralExponent.HALF, REL_TOL_HALF),
+    (SpectralExponent.QUARTER, REL_TOL_QUARTER),
+])
+def test_rank_deficient_input_is_exact_or_raises_at_every_budget(exponent, tol):
+    # Along the null space of O^T O, M starts at rounding level and X grows
+    # by (q + 1)/q a step; O annihilates that growth until M's negative
+    # rounding modes blow up, about 40 steps in, and the growth guard
+    # raises. Every larger budget runs the same steps and raises the same.
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((128, 64)) @ rng.standard_normal((64, 128)) / 64
+    want = spectral_power_exact(a, exponent.power)
+    for budget in range(1, 100):
+        try:
+            out, diag = spectral_transform(a, exponent, iters=budget)
+        except KernelDivergenceError as exc:
+            assert str(exc).startswith(f"spectral transform p={exponent.power}: "), exc
+            assert "residual grew" in str(exc)
+            first = exc.diagnostics
+            break
+        assert np.isfinite(out).all(), budget
+        if budget >= DEFAULT_ROOT_STEPS:
+            assert rel_err(out, want) <= tol, budget
+    else:
+        pytest.fail("the growth guard never raised")
+    assert budget > DEFAULT_ROOT_STEPS
+    with pytest.raises(KernelDivergenceError) as info:
+        spectral_transform(a, exponent, iters=1000)
+    assert info.value.diagnostics == first
+
+
+def test_transform_reports_an_overflowed_root_iterate():
+    # An exact zero singular value keeps M finite while X grows by
+    # (q + 1)/q a step; thousands of steps overflow X (p = 1/2) or X^3
+    # (p = 1/4), and the output's check raises with no RuntimeWarning first.
+    a = np.diag([1.0, 0.0])
+    for exponent in (SpectralExponent.HALF, SpectralExponent.QUARTER):
+        out, _ = spectral_transform(a, exponent, iters=1000)
+        assert np.array_equal(out, a)
+        with pytest.raises(KernelDivergenceError, match="root iterate overflowed") as info:
+            spectral_transform(a, exponent, iters=4000)
+        assert str(info.value).startswith(f"spectral transform p={exponent.power}: ")
+        assert info.value.diagnostics.iterations_run == 4000
 
 
 # --- norms past the float range ---------------------------------------------
@@ -423,23 +485,41 @@ def _ref_coupled(x, iters, exit_tol):
     return y, z, alpha, residuals, updates
 
 
-def _ref_half(a, iters=15):
+def _ref_root(a, q, j, iters=18):
+    """One coupled Newton pass for the inverse q-th root of A = O^T O, as
+    written in the textbook: M_0 = A / ||A||_F, X_0 = I, and per step
+    T = ((q + 1) I - M) / q, X <- X T, M <- T^q M with T^q by repeated
+    squaring, until ||M - I||_F <= 1e-14. The output is O X^j ||A||_F^(-j/q)."""
     work = a.T if a.shape[0] < a.shape[1] else a
     x = work.T @ work
     x = 0.5 * (x + x.T)
-    y1, _, alpha, res1, up1 = _ref_coupled(x, iters, 1e-14)
-    half = np.sqrt(alpha) * y1
-    half = 0.5 * (half + half.T)
-    _, z2, beta, res2, up2 = _ref_coupled(half, iters, 1e-14)
-    out = work @ (z2 / np.sqrt(beta))
-    return (out.T if work is not a else out), (up1 + up2, alpha, beta, res1 + res2,
-                                               [res1[-1], res2[-1]])
+    alpha = float(np.linalg.norm(x))
+    eye = np.eye(x.shape[0])
+    m, root = x / alpha, eye
+    residuals = []
+    while len(residuals) < iters:
+        t = ((q + 1) * eye - m) / q
+        root = root @ t
+        for _ in range(int(np.log2(q))):
+            t = t @ t
+        m = t @ m
+        residuals.append(float(np.linalg.norm(m - eye)))
+        if residuals[-1] <= 1e-14:
+            break
+    power = root
+    for _ in range(j - 1):
+        power = power @ root
+    out = work @ (power * alpha ** (-j / q))
+    return (out.T if work is not a else out), (len(residuals), alpha, None, residuals,
+                                               [residuals[-1]])
+
+
+def _ref_half(a):
+    return _ref_root(a, 4, 1)
 
 
 def _ref_quarter(a):
-    first, d1 = _ref_half(a)
-    second, d2 = _ref_half(first)
-    return second, (d1[0] + d2[0], d1[1], d2[2], d1[3] + d2[3], d1[4] + d2[4])
+    return _ref_root(a, 8, 3)
 
 
 def _ref_quintic(a, iters=5, a_=3.4445, b_=-4.7750, c_=2.0315):
@@ -485,8 +565,9 @@ def _pin_inputs():
     (SpectralExponent.ZERO, "cubic", _ref_cubic),
 ])
 def test_kernels_match_the_textbook_loops_bit_for_bit(p, method, reference):
-    # The kernels skip the products with Z_0 = I, fold the 1/2 into T and
-    # scan no iterate for non-finite values; none of that may move a bit.
+    # The kernels skip the products with Z_0 = I and X_0 = I, fold the 1/2
+    # into T and scan no iterate for non-finite values; none of that may
+    # move a bit.
     for label, a in _pin_inputs():
         want, fields = reference(a)
         try:
