@@ -17,6 +17,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import os
 import threading
 from pathlib import Path
 
@@ -34,6 +35,18 @@ def blas_threads() -> int | None:
     reports it; None when numpy's BLAS is not one this can ask and set."""
     calls = _openblas_thread_calls()
     return None if calls is None else int(calls[0]())
+
+
+def step_lanes() -> int:
+    """How many threads may make BLAS calls at once: the CPUs this process
+    may use while each BLAS call runs on one thread, else 1 (a BLAS that
+    spreads each product over the CPUs leaves a second thread none to use)."""
+    if blas_threads() != 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @contextlib.contextmanager

@@ -24,7 +24,6 @@ import contextlib
 import contextvars
 import hashlib
 import math
-import os
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -32,7 +31,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .dense import blas_threads, one_blas_thread
+from . import dense
 from .errors import ConfigError, ToolkitError
 from .kernels import SpectralExponent
 from .optim import (
@@ -298,21 +297,6 @@ def _safe_loss(fn) -> float:
     return float(value)
 
 
-def step_lanes() -> int:
-    """How many matrix steps may run at once: the CPUs this process may use.
-
-    1 where numpy's BLAS cannot be asked, so run_training cannot pin each
-    BLAS call to one thread: a BLAS that spreads each product over the CPUs
-    leaves a helper thread none to use.
-    """
-    if blas_threads() is None:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _offloaded(params: Mapping[str, np.ndarray], matrix_names: list[str],
                exponent: SpectralExponent) -> list[str]:
     """The matrix parameters that step on helper threads, costliest first.
@@ -324,7 +308,7 @@ def _offloaded(params: Mapping[str, np.ndarray], matrix_names: list[str],
     """
     if exponent is SpectralExponent.ONE or len(matrix_names) < 2:
         return []
-    helpers = min(step_lanes(), len(matrix_names)) - 1
+    helpers = min(dense.step_lanes(), len(matrix_names)) - 1
     return sorted(matrix_names, key=lambda name: (-min(params[name].shape), name))[:helpers]
 
 
@@ -379,7 +363,7 @@ def _step_params(params, grads, states, matrix_names, offloaded, pool, optimizer
         params[name], states[name], _ = outcome
 
 
-@one_blas_thread()
+@dense.one_blas_thread()
 def run_training(cfg: TrainConfig) -> RunRecord:
     """Execute one run and return its record.
 

@@ -1,5 +1,12 @@
-"""Tier-1 guard: numpy's BLAS thread count is process-wide, so a test that
-leaves it changed would change every later test's BLAS calls."""
+"""Tier-1 guards on process-wide state a test could leave behind.
+
+numpy's BLAS thread count is process-wide, so a test that leaves it changed
+would change every later test's BLAS calls. The toolkit's helper threads
+(named ``specopt-...``) live only as long as the call that starts them, so
+one still alive after a test is a thread the toolkit failed to join.
+"""
+
+import threading
 
 import pytest
 
@@ -11,3 +18,10 @@ def blas_thread_count_is_kept():
     before = blas_threads()
     yield
     assert blas_threads() == before, "the test left numpy's BLAS thread count changed"
+
+
+@pytest.fixture(autouse=True)
+def no_helper_thread_outlives_the_test():
+    yield
+    alive = [t.name for t in threading.enumerate() if t.name.startswith("specopt-")]
+    assert not alive, f"the test left helper threads running: {alive}"

@@ -1,8 +1,11 @@
 """Dense matrix helpers and the plain-text matrix format."""
 
+import os
+
 import numpy as np
 import pytest
 
+from specopt import dense
 from specopt.dense import (
     as_matrix,
     blas_threads,
@@ -105,6 +108,12 @@ def test_overlapping_pins_restore_the_count_when_the_last_one_exits():
     assert blas_threads() == 1
     second.__exit__(None, None, None)
     assert blas_threads() == before
+
+
+def test_a_second_lane_needs_one_blas_thread_per_call(monkeypatch):
+    for count, lanes in ((None, 1), (2, 1), (1, len(os.sched_getaffinity(0)))):
+        monkeypatch.setattr(dense, "blas_threads", lambda: count)
+        assert dense.step_lanes() == lanes, count
 
 
 def test_as_matrix_reshape_and_validation():

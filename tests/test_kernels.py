@@ -1,8 +1,11 @@
 """Multiplication-only kernels checked against the exact oracle."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from specopt import dense, kernels
 from specopt.calibration import (
     QUINTIC_SV_BAND,
     REL_TOL_HALF,
@@ -348,6 +351,13 @@ def test_transform_names_an_overflowed_gram():
             spectral_transform(np.full((4, 3), 1e160), exponent)
 
 
+def test_transform_checks_the_budget_before_the_gram():
+    # The zero budget is the fault, not the entries that overflow the Gram.
+    for exponent in (SpectralExponent.HALF, SpectralExponent.QUARTER):
+        with pytest.raises(PreconditionError, match="iteration count must be >= 1"):
+            spectral_transform(np.full((4, 3), 1e160), exponent, iters=0)
+
+
 def test_transform_reports_an_unconverged_pass():
     # At kappa 1e4 the default budget leaves the one inverse-root pass far
     # from converged (p = 1/2 is about 6e-3 off, p = 1/4 about 4e-2), and
@@ -568,6 +578,10 @@ def test_kernels_match_the_textbook_loops_bit_for_bit(p, method, reference):
     # The kernels skip the products with Z_0 = I and X_0 = I, fold the 1/2
     # into T and scan no iterate for non-finite values; none of that may
     # move a bit.
+    _assert_textbook_bits(p, method, reference)
+
+
+def _assert_textbook_bits(p, method, reference):
     for label, a in _pin_inputs():
         want, fields = reference(a)
         try:
@@ -598,3 +612,92 @@ def test_coupled_divergence_reports_are_pinned(x, updates, residuals):
     assert diag.iterations_run == updates
     assert diag.residual_per_iter == residuals
     assert diag.pass_residuals == []
+
+
+# --- the helper lane of the inverse-root pass --------------------------------
+
+
+def root_threads():
+    return [t for t in threading.enumerate() if t.name == "specopt-root"]
+
+
+@pytest.fixture
+def lane_floor(monkeypatch):
+    """Set the Gram side from which X goes to the helper, inside one BLAS
+    thread per call; returns the setter and the names of the threads that
+    computed each product of X."""
+    folded = []
+    fold = kernels._ProductLane._fold
+
+    def spy(self, t):
+        folded.append(threading.current_thread().name)
+        fold(self, t)
+
+    monkeypatch.setattr(kernels._ProductLane, "_fold", spy)
+    with dense.one_blas_thread():
+        if dense.step_lanes() < 2:
+            pytest.skip("needs two CPUs and a BLAS whose thread count can be set")
+        yield lambda side: monkeypatch.setattr(kernels, "_LANE_MIN_SIDE", side), folded
+
+
+@pytest.mark.parametrize("side,lane", [(1, "specopt-root"), (10**9, "MainThread")])
+@pytest.mark.parametrize("p,reference", [
+    (SpectralExponent.HALF, _ref_half),
+    (SpectralExponent.QUARTER, _ref_quarter),
+])
+def test_the_root_pass_matches_the_textbook_loop_on_either_lane(lane_floor, side, lane, p,
+                                                                  reference):
+    set_floor, folded = lane_floor
+    set_floor(side)
+    _assert_textbook_bits(p, "quintic", reference)
+    assert set(folded) == {lane}
+
+
+def test_every_exit_of_the_root_pass_joins_its_helper(lane_floor):
+    set_floor, folded = lane_floor
+    set_floor(1)
+    exits = []
+    spectral_transform(spectrum_matrix(np.random.default_rng(0), 16, 8, 1e2),
+                       SpectralExponent.HALF)
+    exits.append((len(folded), root_threads()))
+    rng = np.random.default_rng(0)
+    rank64 = rng.standard_normal((128, 64)) @ rng.standard_normal((64, 128)) / 64
+    with pytest.raises(KernelDivergenceError, match="residual grew"):
+        spectral_transform(rank64, SpectralExponent.HALF, iters=1000)
+    exits.append((len(folded), root_threads()))
+    with np.errstate(invalid="ignore"), pytest.raises(KernelDivergenceError, match="non-finite"):
+        kernels._inverse_root_core(np.full((2, 2), np.nan), 4, 10, "inverse 4th root")
+    exits.append((len(folded), root_threads()))
+    # X overflows on the helper; the caller's error state must reach it, or
+    # its overflow warning (an error in tier-1) would surface instead.
+    with pytest.raises(KernelDivergenceError, match="root iterate overflowed"):
+        spectral_transform(np.diag([1.0, 0.0]), SpectralExponent.HALF, iters=4000)
+    exits.append((len(folded), root_threads()))
+    assert set(folded) == {"specopt-root"}
+    counts = [count for count, _ in exits]
+    assert counts == sorted(set(counts)) and counts[0] > 0
+    assert all(alive == [] for _, alive in exits)
+
+
+def test_a_failure_on_the_helper_reaches_the_caller(lane_floor, monkeypatch):
+    set_floor, _ = lane_floor
+    set_floor(1)
+    with kernels._ProductLane(True) as lane:
+        for t in (np.ones((2, 3)), np.ones((2, 3)), np.ones((3, 3))):
+            lane.push(t)
+        with pytest.raises(ValueError, match="not aligned"):
+            lane.result()
+    assert not root_threads()
+    fold, calls = kernels._ProductLane._fold, []
+
+    def failing(self, t):
+        calls.append(threading.current_thread().name)
+        if len(calls) == 4:
+            raise MemoryError(f"no room for X on {calls[-1]}")
+        fold(self, t)
+
+    monkeypatch.setattr(kernels._ProductLane, "_fold", failing)
+    with pytest.raises(MemoryError, match="no room for X on specopt-root"):
+        spectral_transform(spectrum_matrix(np.random.default_rng(0), 16, 8, 1e2),
+                           SpectralExponent.QUARTER)
+    assert not root_threads()

@@ -300,11 +300,26 @@ def step_threads():
     return [t for t in threading.enumerate() if t.name.startswith("specopt-step")]
 
 
-def run_python(code, blas_threads):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
-               PYTHONPATH=os.pathsep.join(sys.path))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120).stdout
+def run_python(code, *blas_counts):
+    """The probe's stdout at each BLAS thread count, its processes run all at
+    once; each must exit 0 within two minutes."""
+    procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=str(count),
+                                       PYTHONPATH=os.pathsep.join(sys.path)))
+             for count in blas_counts]
+    try:
+        outs = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            if proc.returncode:
+                raise subprocess.CalledProcessError(proc.returncode, proc.args, out, err)
+            outs.append(out)
+        return outs
+    finally:
+        for proc in procs:
+            proc.kill()  # a no-op on one that has exited
+            proc.wait()
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
@@ -321,9 +336,10 @@ def step(*args, **kwargs):
 train.step_matrix_param = step
 train.run_training(train.TrainConfig(task="charlm", optimizer=parse_optimizer("msgds"),
                                      hp=HyperParams(lr_mat=0.3), total_steps=4, warmup_steps=1))
-print(train.blas_threads(), *sorted(names))
+print(dense.blas_threads(), *sorted(names))
 """
-    count, *names = run_python(probe, 2).split()
+    [out] = run_python(probe, 2)
+    count, *names = out.split()
     assert count == "2"
     assert any(name.startswith("specopt-step") for name in names)
 
@@ -339,9 +355,9 @@ for kind in ALL_OPTIMIZERS:
                       total_steps=40, warmup_steps=4, eval_every=10)
     print(run_training(cfg).to_csv(kind.token))
 """
-    one = run_python(probe, 1)
+    one, two = run_python(probe, 1, 2)
     assert one.count("# outcome=completed") == len(ALL_OPTIMIZERS)
-    assert run_python(probe, 2) == one
+    assert two == one
 
 
 def test_the_costliest_matrices_go_to_helpers(monkeypatch):
@@ -350,14 +366,14 @@ def test_the_costliest_matrices_go_to_helpers(monkeypatch):
     names = sorted(params)
     for lanes, want in ((1, []), (2, ["a"]), (3, ["a", "b"]), (4, ["a", "b", "c"]),
                         (9, ["a", "b", "c"])):
-        monkeypatch.setattr(train, "step_lanes", lambda: lanes)
+        monkeypatch.setattr(dense, "step_lanes", lambda: lanes)
         assert train._offloaded(params, names, parse_optimizer("adams").exponent) == want
         assert train._offloaded(params, names, parse_optimizer("adam").exponent) == []
     assert train._offloaded(params, ["a"], parse_optimizer("adams").exponent) == []
 
 
 def run_on(monkeypatch, lanes, cfg):
-    monkeypatch.setattr(train, "step_lanes", lambda: lanes)
+    monkeypatch.setattr(dense, "step_lanes", lambda: lanes)
     before = threading.active_count()
     record = run_training(cfg)
     assert threading.active_count() == before and not step_threads()
@@ -504,13 +520,13 @@ def blas_count(request):
 
 def test_a_run_pins_one_blas_thread_and_restores_the_count(monkeypatch, blas_count):
     seen = []
-    before_step(monkeypatch, "W1", lambda: seen.append(train.blas_threads()))
+    before_step(monkeypatch, "W1", lambda: seen.append(dense.blas_threads()))
     assert run_training(charlm_config("msgds", 0.3)).outcome == COMPLETED
     assert seen and set(seen) == {1}
-    assert train.blas_threads() == blas_count
+    assert dense.blas_threads() == blas_count
     assert run_training(charlm_config("msgds", 300 * 0.3)).outcome == DIVERGED
-    assert train.blas_threads() == blas_count
+    assert dense.blas_threads() == blas_count
     fail_at(monkeypatch, "W1", 2, ValueError("not a toolkit error"))
     with pytest.raises(ValueError, match="not a toolkit error"):
         run_training(charlm_config("msgds", 0.3))
-    assert train.blas_threads() == blas_count
+    assert dense.blas_threads() == blas_count
