@@ -6,10 +6,12 @@ iterations instead. This demo measures, across a ladder of condition
 numbers, how close each iterative kernel gets to the exact answer at its
 default budget:
 
-  * cubic polar        -> the p = 0 direction, high precision
+  * cubic polar        -> the p = 0 direction, high precision, from one
+                          inverse square-root pass on the Gram matrix
   * quintic polar      -> the p = 0 direction, five fixed steps (the
                           training kernel; lands in a band, not on a point)
-  * coupled half/quarter powers via the Gram route
+  * half/quarter power -> one inverse 4th- or 8th-root pass on the Gram
+                          matrix
 
 Run: python3 demos/kernel_accuracy.py
 """

@@ -217,9 +217,7 @@ def cmd_transform(args) -> int:
 
     if args.method == "oracle":
         result = spectral_power_exact(matrix, exponent.power)
-        diag_payload = {
-            "iterations": None, "alpha": None, "beta": None, "residuals": [], "pass_residuals": [],
-        }
+        diag_payload = {"iterations": None, "alpha": None, "residuals": []}
     else:
         result, diag = spectral_transform(
             matrix, exponent, iters=args.iters, zero_method=args.zero_method
@@ -227,9 +225,7 @@ def cmd_transform(args) -> int:
         diag_payload = {
             "iterations": diag.iterations_run,
             "alpha": diag.scale_alpha,
-            "beta": diag.scale_beta,
             "residuals": list(diag.residual_per_iter),
-            "pass_residuals": list(diag.pass_residuals),
         }
     write_matrix(args.output, result)
     sidecar = {
@@ -424,8 +420,7 @@ def main(argv=None) -> int:
             print(
                 f"iterations={diagnostics.iterations_run} "
                 f"alpha={diagnostics.scale_alpha!r} "
-                f"residuals={[f'{r:.3e}' for r in diagnostics.residual_per_iter]} "
-                f"pass_residuals={[f'{r:.3e}' for r in diagnostics.pass_residuals]}",
+                f"residuals={[f'{r:.3e}' for r in diagnostics.residual_per_iter]}",
                 file=sys.stderr,
             )
         return EXIT_DIVERGED

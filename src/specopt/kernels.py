@@ -1,18 +1,16 @@
 """Iterative matrix-root kernels built from matrix multiplications only.
 
 Everything here approximates a spectral-power transform without forming an
-SVD. The four building blocks are
+SVD. The two building blocks are
 
 * a quintic polar iteration that pushes every singular value into a fixed
   band around 1 (it oscillates inside that band rather than converging to
   exactly 1, which is the expected behaviour of its coefficients),
-* a cubic polar iteration that does converge to the true polar factor,
-  evaluated in coupled form for numerical stability,
-* a coupled square-root iteration for symmetric positive definite input
-  that returns the matrix square root together with its inverse, plus a
-  two-pass variant for the quarter root,
 * a coupled Newton iteration for the inverse q-th root of a symmetric
-  positive definite matrix (Guo & Higham 2006), one pass for q = 4 or 8.
+  positive definite matrix (Guo & Higham 2006), q in {2, 4, 8}. One pass
+  gives the cubic polar factor (q = 2 on the Gram matrix), the square root
+  and its inverse (q = 2), the quarter root and its inverse (q = 4), and
+  the fractional powers below.
 
 The assembled ``spectral_transform`` keeps a matrix's singular vectors and
 raises its singular values to a power in {1, 1/2, 1/4, 0}:
@@ -20,23 +18,27 @@ raises its singular values to a power in {1, 1/2, 1/4, 0}:
     p = 1    identity (no iterations),
     p = 1/2  O (O^T O)^(-1/4): one inverse 4th-root pass,
     p = 1/4  O (O^T O)^(-3/8): one inverse 8th-root pass, its result cubed,
-    p = 0    the polar factor via the quintic (default) or cubic iteration.
+    p = 0    the polar factor via the quintic (default) or cubic iteration,
+             the cubic being O (O^T O)^(-1/2): one inverse square-root pass.
 
 All kernels internally work with at least as many rows as columns,
 transposing at entry and exit when needed.
 
 Matmul counts, with n x n products on the small side n:
 
-    coupled pass, k updates   3k - 1 (Z_0 = I saves the first two products;
-                              the last one is the final residual's Z Y)
     quintic, k steps          3k + 1 (Z^T Z, B^2 and the update per step,
                               plus the final Z^T Z)
-    cubic polar               a coupled pass plus the Gram and output products
-    root pass, k steps        4k - 1 for q = 4 (T^2, T^4, T^4 M and X T per
-                              step; X_1 = T saves one), 5k - 1 for q = 8
-                              (one more squaring); on the critical path
-                              3 a step for q = 4 and 4 for q = 8 when X T
-                              runs on the helper lane (_inverse_root_core)
+    root pass, k steps        3k - 1 for q = 2 (T^2, T^2 M and X T per step;
+                              X_1 = T saves one), 4k - 1 for q = 4 (one more
+                              squaring), 5k - 1 for q = 8 (two more); on
+                              the critical path one product fewer a step
+                              when X T runs on the helper lane
+                              (_inverse_root_core)
+    cubic polar               a q = 2 pass plus the Gram and output
+                              products: 3k + 1
+    square root               a q = 2 pass plus A X: 3k
+    quarter root              a q = 4 pass, two products for X^3 and
+                              A X^3: 4k + 2
     p = 1/2                   a q = 4 pass plus the Gram and output
                               products: 4k + 1
     p = 1/4                   a q = 8 pass, two products for X^3, the Gram
@@ -58,7 +60,7 @@ import contextvars
 import math
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -77,10 +79,8 @@ from .errors import (
 
 DEFAULT_POLAR_ITERS = 5      # quintic; more iterations keep cycling the band
 DEFAULT_CUBIC_ITERS = 40     # cubic polar, with early exit well before that
-DEFAULT_COUPLED_ITERS = 15   # coupled square root, per pass
-DEFAULT_ROOT_STEPS = 18      # the one inverse-root pass of p = 1/2 and 1/4
+DEFAULT_ROOT_STEPS = 18      # inverse-root pass: p = 1/2 and 1/4, square and quarter roots
 
-_CUBIC_EXIT = 1e-12
 _CUBIC_RESIDUAL_CEILING = 0.5
 _COUPLED_EXIT = 1e-14
 _SYMMETRY_RTOL = 1e-10
@@ -128,26 +128,17 @@ class SpectralExponent(Enum):
 class KernelDiagnostics:
     """Run log of one kernel invocation.
 
-    scale_alpha is the first Frobenius normalizer: the divisor of the input
-    for the quintic and coupled iterations (for p = 1/2 and 1/4, of the Gram
-    matrix O^T O), and the multiplier applied to the Gram matrix
-    (1 / ||M^T M||_F) for the cubic iteration. scale_beta is the second-pass
-    normalizer of coupled_ns_quarter and None for every other kernel,
-    spectral_transform included. residual_per_iter holds one entry per
-    iteration actually performed: ||Z_k Y_k - I||_F for coupled square-root
-    runs, ||M_k - I||_F for the inverse-root pass of p = 1/2 and 1/4, and
-    the orthogonality defect ||P_k^T P_k - I||_F for polar runs.
-    pass_residuals holds the final residual of each coupled pass in order:
-    one for the cubic polar, the square root and each p = 1/2 or 1/4
-    transform, two for coupled_ns_quarter (so a first pass that stopped
-    short shows even when the second ends small), none for the quintic.
+    scale_alpha is the Frobenius normalizer, the divisor of the kernel's
+    first iterate: of the input for the quintic and for the square and
+    quarter roots, of the Gram matrix O^T O for the cubic polar and
+    p = 1/2 and 1/4. residual_per_iter holds one entry per step
+    actually performed: ||M_k - I||_F for the inverse-root pass and the
+    orthogonality defect ||P_k^T P_k - I||_F for the quintic.
     """
 
     iterations_run: int
     scale_alpha: float
-    scale_beta: float | None = None
-    residual_per_iter: list[float] = field(default_factory=list)
-    pass_residuals: list[float] = field(default_factory=list)
+    residual_per_iter: list[float]
 
 
 def _validate_input(m, name: str = "input") -> np.ndarray:
@@ -189,50 +180,33 @@ def polar_quintic(m: Matrix, iters: int = DEFAULT_POLAR_ITERS) -> tuple[Matrix, 
         z = z.dot(a_eye + qb * b + qc * b.dot(b))
         b = z.T.dot(z)
         _residual(b, eye, "quintic", k, alpha, residuals)
-    diag = KernelDiagnostics(iters, alpha, None, residuals)
+    diag = KernelDiagnostics(iters, alpha, residuals)
     return (z.T.copy() if transposed else z), diag
 
 
 def polar_cubic(m: Matrix, iters: int = DEFAULT_CUBIC_ITERS) -> tuple[Matrix, KernelDiagnostics]:
-    """Cubic polar factor via the inverse-root iteration on the Gram matrix.
+    """Cubic polar factor of ``m``: m G^(-1/2), G = m^T m, by one q = 2 pass.
 
-    Scales A = M^T M to unit Frobenius norm and drives Z towards A^(-1/2)
-    with the cubic update Z <- Z (3 I - A Z^2) / 2, then returns M A^(-1/2)
-    rescaled, which is the true polar factor U V^T. The update is evaluated
-    in its coupled arrangement (carrying Y = A Z alongside Z with the shared
-    correction 3 I - Z Y): the iterates are identical in exact arithmetic,
-    but the one-sided form amplifies rounding noise between converged stiff
-    modes and slow modes, which wrecks it well below the condition numbers
-    this kernel must handle.
+    Each step X <- X T of _inverse_root_core with T = (3 I - M_k) / 2 is the
+    cubic update Z <- Z (3 I - G Z^2) / 2 on the normalized Gram matrix,
+    evaluated in its coupled arrangement (M_k = X_k^2 G / ||G||_F carried
+    alongside X): the iterates are identical in exact arithmetic, but the
+    one-sided form amplifies rounding noise between converged stiff modes
+    and slow modes, which wrecks it well below the condition numbers this
+    kernel must handle. The result is the true polar factor U V^T.
 
     Requires full column rank: a rank-deficient input leaves the residual
     stuck above the acceptance ceiling and raises KernelDivergenceError.
     """
-    a_in = _validate_input(m)
-    if iters < 1:
-        raise PreconditionError(f"iteration count must be >= 1, got {iters}")
-    transposed = a_in.shape[0] < a_in.shape[1]
-    work = a_in.T if transposed else a_in
-    if frobenius_norm(work) == 0.0:
-        raise DegenerateInputError("zero matrix has no polar factor")
-    x = gram(work)
-    try:
-        _, z, xnorm, residuals, updates = _coupled_core(x, iters, _CUBIC_EXIT, "cubic polar")
-    except KernelDivergenceError as exc:
-        if exc.diagnostics is not None:
-            # Cubic diagnostics report the multiplier applied to M^T M.
-            exc.diagnostics.scale_alpha = 1.0 / exc.diagnostics.scale_alpha
-        raise
-    diag = KernelDiagnostics(updates, 1.0 / xnorm, None, residuals, [residuals[-1]])
-    if residuals[-1] > _CUBIC_RESIDUAL_CEILING:
+    out, diag = _root_transform(_validate_input(m), 2, 1, iters)
+    if diag.residual_per_iter[-1] > _CUBIC_RESIDUAL_CEILING:
         raise KernelDivergenceError(
-            f"cubic polar residual stuck at {residuals[-1]:.3e} after "
-            f"{updates} iterations; the input is rank deficient "
+            f"cubic polar residual stuck at {diag.residual_per_iter[-1]:.3e} after "
+            f"{diag.iterations_run} iterations; the input is rank deficient "
             "or needs more iterations",
             diagnostics=diag,
         )
-    polar = work.dot(z) / np.sqrt(xnorm)
-    return (polar.T.copy() if transposed else polar), diag
+    return out, diag
 
 
 def _residual(
@@ -241,7 +215,7 @@ def _residual(
 ) -> float:
     """Append ||prod - I||_F, evaluated exactly as np.linalg.norm evaluates it.
 
-    prod is a product of the current iterates (Z^T Z, or Z Y), and a
+    prod is a product of the current iterates (Z^T Z, or M), and a
     non-finite iterate always makes it non-finite, so this check stands in
     for scanning the iterates after every update.
     """
@@ -250,54 +224,10 @@ def _residual(
     if not math.isfinite(res):
         raise KernelDivergenceError(
             f"{label} iteration {updates} produced non-finite values",
-            diagnostics=KernelDiagnostics(updates, alpha, None, residuals),
+            diagnostics=KernelDiagnostics(updates, alpha, residuals),
         )
     residuals.append(res)
     return res
-
-
-def _coupled_core(
-    x: np.ndarray, iters: int, exit_tol: float, label: str
-) -> tuple[np.ndarray, np.ndarray, float, list[float], int]:
-    """One coupled square-root pass on an exactly symmetric matrix.
-
-    Callers validate and symmetrize ``x`` and ensure ``iters >= 1``.
-    Returns the unscaled iterates (Y_K, Z_K), the normalizer alpha, the
-    residual history and the number of updates performed. Callers fold the
-    normalizer back: sqrt(alpha) Y_K estimates X^(1/2) and Z_K / sqrt(alpha)
-    estimates X^(-1/2).
-
-    Each update is Y <- Y T, Z <- T Z with T = 3/2 I - 1/2 Z Y, which is
-    bit for bit the textbook (Y T', T' Z) / 2 with T' = 3 I - Z Y. Z starts
-    at I, so the first update needs one product (Z_1 = T) and k updates cost
-    3k - 1 matmuls, counting the final Z Y behind the last residual.
-    """
-    alpha = frobenius_norm(x)
-    if alpha == 0.0:
-        raise DegenerateInputError(f"{label}: zero matrix has no square root")
-    eye = np.eye(x.shape[0])
-    eye_3_2 = 1.5 * eye
-    y = x / alpha
-    t = eye_3_2 - 0.5 * y
-    y = y.dot(t)
-    z = t
-    updates = 1
-    residuals: list[float] = []
-    while True:
-        prod = z.dot(y)
-        res = _residual(prod, eye, label, updates, alpha, residuals)
-        if updates >= iters or res <= exit_tol:
-            return y, z, alpha, residuals, updates
-        # The product spectrum stays in (0, 1]; growth means blow-up.
-        if res > residuals[0] * 2.0 + 10.0:
-            raise KernelDivergenceError(
-                f"{label}: residual grew to {res:.3e}",
-                diagnostics=KernelDiagnostics(updates, alpha, None, residuals),
-            )
-        t = eye_3_2 - 0.5 * prod
-        y = y.dot(t)
-        z = t.dot(z)
-        updates += 1
 
 
 def _symmetric_input(x: Matrix, what: str, iters: int, label: str) -> np.ndarray:
@@ -313,40 +243,34 @@ def _symmetric_input(x: Matrix, what: str, iters: int, label: str) -> np.ndarray
 
 
 def coupled_ns_sqrt(
-    x: Matrix, iters: int = DEFAULT_COUPLED_ITERS
+    x: Matrix, iters: int = DEFAULT_ROOT_STEPS
 ) -> tuple[Matrix, Matrix, KernelDiagnostics]:
-    """Coupled iteration for the square root and inverse square root.
+    """Square root and inverse square root from one inverse-root pass, q = 2.
 
     Input must be symmetric positive definite. Returns (X^(1/2), X^(-1/2),
-    diagnostics); the pair satisfies the reconstruction identities within
-    iteration accuracy. Semi-definite input does not blow up, but the
+    diagnostics): Z = X^(-1/2) from the pass and X Z for the root, so the
+    pair satisfies the reconstruction identities within iteration accuracy.
+    Semi-definite input does not blow up at the default budget, but the
     inverse factor is only meaningful on the range of X.
     """
     a = _symmetric_input(x, "square root", iters, "coupled sqrt")
-    y, z, alpha, residuals, updates = _coupled_core(a, iters, _COUPLED_EXIT, "coupled sqrt")
-    root = float(np.sqrt(alpha))
-    diag = KernelDiagnostics(updates, alpha, None, residuals, [residuals[-1]])
-    return root * y, z / root, diag
+    z, alpha, residuals, updates = _inverse_root_core(a, 2, iters, "coupled sqrt")
+    z = z * alpha ** -0.5
+    return a.dot(z), z, KernelDiagnostics(updates, alpha, residuals)
 
 
 def coupled_ns_quarter(
-    x: Matrix, iters: int = DEFAULT_COUPLED_ITERS
+    x: Matrix, iters: int = DEFAULT_ROOT_STEPS
 ) -> tuple[Matrix, Matrix, KernelDiagnostics]:
-    """Quarter root and inverse quarter root by two coupled passes.
+    """Quarter root and inverse quarter root from one inverse-root pass, q = 4.
 
-    The first pass produces X^(1/2); the second pass re-normalizes that
-    estimate by its own Frobenius norm (recorded as scale_beta) and takes
-    its square root. ``iters`` applies per pass; diagnostics concatenate
-    both passes' residual histories and list each pass's final residual.
+    Input must be symmetric positive definite. Returns (X^(1/4), X^(-1/4),
+    diagnostics): Z = X^(-1/4) from the pass and X Z^3 for the root.
     """
-    a = _symmetric_input(x, "quarter root", iters, "quarter pass 1")
-    y1, _, alpha, res1, up1 = _coupled_core(a, iters, _COUPLED_EXIT, "quarter pass 1")
-    half = float(np.sqrt(alpha)) * y1
-    half = 0.5 * (half + half.T)
-    y2, z2, beta, res2, up2 = _coupled_core(half, iters, _COUPLED_EXIT, "quarter pass 2")
-    root = float(np.sqrt(beta))
-    diag = KernelDiagnostics(up1 + up2, alpha, beta, res1 + res2, [res1[-1], res2[-1]])
-    return root * y2, z2 / root, diag
+    a = _symmetric_input(x, "quarter root", iters, "coupled quarter")
+    z, alpha, residuals, updates = _inverse_root_core(a, 4, iters, "coupled quarter")
+    z = z * alpha ** -0.25
+    return a.dot(z.dot(z).dot(z)), z, KernelDiagnostics(updates, alpha, residuals)
 
 
 class _ProductLane:
@@ -418,7 +342,7 @@ _LANE_MIN_SIDE = 128
 def _inverse_root_core(
     a: np.ndarray, q: int, iters: int, label: str
 ) -> tuple[np.ndarray, float, list[float], int]:
-    """One coupled Newton pass for the inverse q-th root, q in {4, 8}.
+    """One coupled Newton pass for the inverse q-th root, q in {2, 4, 8}.
 
     Callers pass an exactly symmetric ``a`` and ``iters >= 1``. With
     M_0 = a / alpha, alpha = ||a||_F, each step takes T = ((q + 1) I - M) / q,
@@ -459,7 +383,7 @@ def _inverse_root_core(
             if res > residuals[0] * 2.0 + 10.0:
                 raise KernelDivergenceError(
                     f"{label}: residual grew to {res:.3e}",
-                    diagnostics=KernelDiagnostics(updates, alpha, None, residuals),
+                    diagnostics=KernelDiagnostics(updates, alpha, residuals),
                 )
 
 
@@ -477,8 +401,8 @@ def spectral_transform(
     """Raise the singular values of ``o`` to the chosen power, SVD-free.
 
     ``iters`` is the kernel's iteration count: steps of the one inverse-root
-    pass for p = 1/2 and 1/4, quintic steps or cubic updates for p = 0; None
-    picks the per-exponent default. ``zero_method`` selects the polar kernel
+    pass for p = 1/2 and 1/4 and the cubic p = 0, quintic steps for the
+    quintic; None picks the per-exponent default. ``zero_method`` selects the polar kernel
     for the zero power: "quintic" (band around 1) or "cubic" (fully
     converged polar). The identity power performs zero iterations.
 
@@ -490,7 +414,7 @@ def spectral_transform(
     """
     a = _validate_input(o)
     if exponent is SpectralExponent.ONE:
-        return a.copy(), KernelDiagnostics(0, 1.0, None, [])
+        return a.copy(), KernelDiagnostics(0, 1.0, [])
 
     if exponent is SpectralExponent.ZERO:
         if zero_method not in ("quintic", "cubic"):
@@ -527,13 +451,13 @@ def _root_transform(a: np.ndarray, q: int, j: int, iters: int) -> tuple[Matrix, 
         g = gram(work)
         if not np.isfinite(g).all():
             raise NonFiniteError("Gram matrix overflowed: input entries are too large to square")
-        label = f"inverse {q}th root"
+        label = f"inverse {'square' if q == 2 else f'{q}th'} root"
         x, alpha, residuals, updates = _inverse_root_core(g, q, iters, label)
         xj = x
         for _ in range(j - 1):
             xj = xj.dot(x)
         out = work.dot(xj * alpha ** (-j / q))
-    diag = KernelDiagnostics(updates, alpha, None, residuals, [residuals[-1]])
+    diag = KernelDiagnostics(updates, alpha, residuals)
     if not np.isfinite(out).all():
         raise KernelDivergenceError(
             f"{label}: the root iterate overflowed after {updates} steps", diagnostics=diag)

@@ -25,7 +25,7 @@ from . import calibration
 from .dense import frobenius_norm
 from .errors import ConfigError, ToolkitError
 from .kernels import (
-    DEFAULT_COUPLED_ITERS,
+    DEFAULT_ROOT_STEPS,
     SpectralExponent,
     coupled_ns_quarter,
     coupled_ns_sqrt,
@@ -194,16 +194,16 @@ def check_coupled_identities(
     rng: np.random.Generator, draws: int, iters: int | None = None
 ) -> str:
     """05: Y^2 = X and Z Y = I for the square root, Q^4 = X for the quarter root."""
-    per_pass = DEFAULT_COUPLED_ITERS if iters is None else iters
+    steps = DEFAULT_ROOT_STEPS if iters is None else iters
     worst_sqrt = worst_inv = worst_quarter = 0.0
     for _ in range(draws):
         n = int(rng.integers(4, 65))
         cond = float(10.0 ** rng.uniform(0.0, 2.0))
         x = random_spd(rng, n, cond)
-        y, z, _ = coupled_ns_sqrt(x, per_pass)
+        y, z, _ = coupled_ns_sqrt(x, steps)
         worst_sqrt = max(worst_sqrt, frobenius_norm(y @ y - x) / frobenius_norm(x))
         worst_inv = max(worst_inv, frobenius_norm(z @ y - np.eye(n)) / math.sqrt(n))
-        q, _, _ = coupled_ns_quarter(x, per_pass)
+        q, _, _ = coupled_ns_quarter(x, steps)
         worst_quarter = max(worst_quarter, frobenius_norm(q @ q @ q @ q - x) / frobenius_norm(x))
     tol = calibration.COUPLED_IDENTITY_TOL
     return _require(

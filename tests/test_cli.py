@@ -196,7 +196,6 @@ def test_transform_oracle_flattens_the_diagonal_fixture(tmp_path):
     assert sidecar["iterations"] is None
     assert sidecar["alpha"] is None
     assert sidecar["residuals"] == []
-    assert sidecar["pass_residuals"] == []
 
 
 def test_transform_ns_matches_oracle_within_published_tolerance(tmp_path):
@@ -218,13 +217,14 @@ def test_transform_ns_matches_oracle_within_published_tolerance(tmp_path):
         assert sidecar["iterations"] > 0
 
 
-def test_transform_sidecar_lists_each_pass_residual(tmp_path):
+def test_transform_sidecar_lists_each_step_residual(tmp_path):
     src = tmp_path / "in.mat"
     write_matrix(src, FIXTURE5)
     assert main(["transform", str(src), str(tmp_path / "out.mat"), "--p", "0.25"]) == EXIT_OK
     sidecar = json.loads((tmp_path / "out.mat.diag.json").read_text())
-    assert len(sidecar["pass_residuals"]) == 1  # one inverse-root pass per transform
-    assert sidecar["pass_residuals"][-1] == sidecar["residuals"][-1]
+    assert sorted(sidecar) == ["alpha", "calibrated_rel_tol", "exponent", "input_shape",
+                               "iterations", "method", "residuals", "version"]
+    assert len(sidecar["residuals"]) == sidecar["iterations"]  # one per step of the one pass
 
 
 def test_transform_user_errors_exit_two(tmp_path, capsys):
@@ -247,8 +247,17 @@ def test_transform_numeric_failure_exits_three_with_diagnostics(tmp_path, capsys
     assert code == EXIT_DIVERGED
     err = capsys.readouterr().err
     assert "numerical failure" in err
-    assert "iterations=" in err and "residuals=" in err
-    assert "pass_residuals=['" in err  # the stalled cubic pass's final residual
+    assert "iterations=40 " in err and "residuals=['" in err
+    assert "alpha=16.0 " in err  # ||O^T O||_F, the divisor, as for every kernel
+
+
+def test_transform_cubic_names_an_overflowed_gram(tmp_path, capsys):
+    src = tmp_path / "huge.mat"
+    write_matrix(src, np.full((4, 3), 1e160))
+    code = main(["transform", str(src), str(tmp_path / "out.mat"),
+                 "--p", "0", "--zero-method", "cubic"])
+    assert code == EXIT_USER_ERROR
+    assert "Gram matrix overflowed" in capsys.readouterr().err
 
 
 def test_transform_oracle_out_of_sweeps_exits_three(tmp_path, capsys, monkeypatch):

@@ -159,8 +159,8 @@ def test_cubic_rejects_rank_deficiency_and_zero():
     diag = info.value.diagnostics
     assert diag.iterations_run == 40
     assert len(diag.residual_per_iter) == 40
-    assert diag.pass_residuals == [diag.residual_per_iter[-1]] == [1.7320508074436978]
-    assert diag.scale_alpha == 1.0 / 24.0
+    assert diag.residual_per_iter[-1] == 1.7320508075688772
+    assert diag.scale_alpha == 24.0
     with pytest.raises(DegenerateInputError):
         polar_cubic(np.zeros((4, 4)))
 
@@ -187,7 +187,6 @@ def test_coupled_sqrt_reconstruction():
     assert np.linalg.norm(root @ inv_root - np.eye(8)) <= 1e-7
     assert np.linalg.norm(root @ root - x) <= 1e-7 * np.linalg.norm(x)
     assert diag.scale_alpha == np.linalg.norm(x)
-    assert diag.scale_beta is None
 
 
 def test_coupled_sqrt_residual_contraction():
@@ -222,7 +221,7 @@ def test_coupled_quarter_identity_and_diagonal():
     q, iq, diag = coupled_ns_quarter(np.eye(3))
     assert np.linalg.norm(q - np.eye(3)) <= 1e-6
     assert np.linalg.norm(iq - np.eye(3)) <= 1e-6
-    assert diag.scale_beta is not None
+    assert diag.scale_alpha == np.linalg.norm(np.eye(3))
     q, iq, _ = coupled_ns_quarter(np.diag([16.0, 1.0]))
     assert np.allclose(q, np.diag([2.0, 1.0]), atol=1e-6)
     assert np.allclose(iq, np.diag([0.5, 1.0]), atol=1e-6)
@@ -235,17 +234,6 @@ def test_coupled_quarter_reconstruction():
     fourth = q @ q @ q @ q
     assert np.linalg.norm(fourth - x) <= 1e-6 * np.linalg.norm(x)
     assert np.linalg.norm(q @ iq - np.eye(8)) <= 1e-7
-
-
-def test_single_pass_kernels_report_their_final_residual():
-    rng = np.random.default_rng(9)
-    x = random_spd(rng, 6, 20.0)
-    _, _, diag = coupled_ns_sqrt(x)
-    assert diag.pass_residuals == [diag.residual_per_iter[-1]]
-    _, diag = polar_cubic(rng.standard_normal((8, 5)))
-    assert diag.pass_residuals == [diag.residual_per_iter[-1]]
-    _, diag = polar_quintic(rng.standard_normal((8, 5)))
-    assert diag.pass_residuals == []
 
 
 # --- assembled transform --------------------------------------------------
@@ -343,32 +331,35 @@ def test_transform_failures_name_their_power():
     assert info.value.diagnostics is info.value.__cause__.diagnostics
 
 
+# Every power that runs the inverse-root pass on the Gram matrix.
+_GRAM_ROUTES = ((SpectralExponent.HALF, "quintic"), (SpectralExponent.QUARTER, "quintic"),
+                (SpectralExponent.ZERO, "cubic"))
+
+
 def test_transform_names_an_overflowed_gram():
     # Finite entries of 1e160 square past the float range; tier-1 turns
     # numpy's overflow warning into an error, so none may escape.
-    for exponent in (SpectralExponent.HALF, SpectralExponent.QUARTER):
+    for exponent, method in _GRAM_ROUTES:
         with pytest.raises(NonFiniteError, match="Gram matrix overflowed"):
-            spectral_transform(np.full((4, 3), 1e160), exponent)
+            spectral_transform(np.full((4, 3), 1e160), exponent, zero_method=method)
 
 
 def test_transform_checks_the_budget_before_the_gram():
     # The zero budget is the fault, not the entries that overflow the Gram.
-    for exponent in (SpectralExponent.HALF, SpectralExponent.QUARTER):
+    for exponent, method in _GRAM_ROUTES:
         with pytest.raises(PreconditionError, match="iteration count must be >= 1"):
-            spectral_transform(np.full((4, 3), 1e160), exponent, iters=0)
+            spectral_transform(np.full((4, 3), 1e160), exponent, iters=0, zero_method=method)
 
 
 def test_transform_reports_an_unconverged_pass():
     # At kappa 1e4 the default budget leaves the one inverse-root pass far
     # from converged (p = 1/2 is about 6e-3 off, p = 1/4 about 4e-2), and
-    # its one pass residual says so.
+    # its final residual says so.
     a = spectrum_matrix(np.random.default_rng(0), 128, 128, 1e4)
     for exponent in (SpectralExponent.HALF, SpectralExponent.QUARTER):
         _, diag = spectral_transform(a, exponent)
         assert diag.iterations_run == DEFAULT_ROOT_STEPS
-        assert diag.scale_beta is None
-        assert diag.pass_residuals == [diag.residual_per_iter[-1]]
-        assert diag.pass_residuals[0] > 1.0
+        assert diag.residual_per_iter[-1] > 1.0
 
 
 @pytest.mark.parametrize("exponent", [SpectralExponent.HALF, SpectralExponent.QUARTER])
@@ -444,7 +435,7 @@ def test_transform_reports_an_overflowed_root_iterate():
 def test_coupled_sqrt_normalizes_past_the_float_range():
     y, z, diag = coupled_ns_sqrt(np.diag([1e300, 1.0]), iters=1000)
     assert diag.scale_alpha == 1e300
-    assert diag.pass_residuals[0] < 1e-14
+    assert diag.residual_per_iter[-1] < 1e-14
     assert np.allclose(y, np.diag([1e150, 1.0]), rtol=1e-14, atol=0.0)
     assert np.allclose(z, np.diag([1e-150, 1.0]), rtol=1e-14, atol=0.0)
 
@@ -473,28 +464,6 @@ def test_transform_normalizes_a_gram_past_the_float_range():
 # --- bit-for-bit pin against the textbook loops ----------------------------
 
 
-def _ref_coupled(x, iters, exit_tol):
-    """Coupled Newton pass as written in the textbook: Z_0 = I,
-    T = 3 I - Z Y, Y <- Y T / 2, Z <- T Z / 2."""
-    eye = np.eye(x.shape[0])
-    alpha = float(np.linalg.norm(x))
-    y, z = x / alpha, eye
-    residuals, updates = [], 0
-    while updates < iters:
-        prod = z @ y
-        if updates > 0:
-            residuals.append(float(np.linalg.norm(prod - eye)))
-            if residuals[-1] <= exit_tol:
-                break
-        t = 3.0 * eye - prod
-        y = 0.5 * (y @ t)
-        z = 0.5 * (t @ z)
-        updates += 1
-    else:
-        residuals.append(float(np.linalg.norm(z @ y - eye)))
-    return y, z, alpha, residuals, updates
-
-
 def _ref_root(a, q, j, iters=18):
     """One coupled Newton pass for the inverse q-th root of A = O^T O, as
     written in the textbook: M_0 = A / ||A||_F, X_0 = I, and per step
@@ -520,8 +489,7 @@ def _ref_root(a, q, j, iters=18):
     for _ in range(j - 1):
         power = power @ root
     out = work @ (power * alpha ** (-j / q))
-    return (out.T if work is not a else out), (len(residuals), alpha, None, residuals,
-                                               [residuals[-1]])
+    return (out.T if work is not a else out), (len(residuals), alpha, residuals)
 
 
 def _ref_half(a):
@@ -545,19 +513,14 @@ def _ref_quintic(a, iters=5, a_=3.4445, b_=-4.7750, c_=2.0315):
             residuals.append(float(np.linalg.norm(b - eye)))
         z = z @ (a_ * eye + b_ * b + c_ * (b @ b))
     residuals.append(float(np.linalg.norm(z.T @ z - eye)))
-    return (z.T if work is not a else z), (iters, alpha, None, residuals, [])
+    return (z.T if work is not a else z), (iters, alpha, residuals)
 
 
-def _ref_cubic(a, iters=40):
-    work = a.T if a.shape[0] < a.shape[1] else a
-    x = work.T @ work
-    x = 0.5 * (x + x.T)
-    _, z, xnorm, residuals, updates = _ref_coupled(x, iters, 1e-12)
-    diag = (updates, 1.0 / xnorm, None, residuals, [residuals[-1]])
-    if residuals[-1] > 0.5:
-        return None, diag
-    out = (work @ z) / np.sqrt(xnorm)
-    return (out.T if work is not a else out), diag
+def _ref_cubic(a):
+    """The polar factor O (O^T O)^(-1/2) from the q = 2 pass, or None where
+    its final residual stays above the 0.5 ceiling."""
+    out, fields = _ref_root(a, 2, 1, iters=40)
+    return (None if fields[-1][-1] > 0.5 else out), fields
 
 
 def _pin_inputs():
@@ -575,9 +538,8 @@ def _pin_inputs():
     (SpectralExponent.ZERO, "cubic", _ref_cubic),
 ])
 def test_kernels_match_the_textbook_loops_bit_for_bit(p, method, reference):
-    # The kernels skip the products with Z_0 = I and X_0 = I, fold the 1/2
-    # into T and scan no iterate for non-finite values; none of that may
-    # move a bit.
+    # The kernels skip the products with X_0 = I and scan no iterate for
+    # non-finite values; none of that may move a bit.
     _assert_textbook_bits(p, method, reference)
 
 
@@ -593,17 +555,15 @@ def _assert_textbook_bits(p, method, reference):
         else:
             assert np.array_equal(got, want), label
             assert np.array_equal(np.signbit(got), np.signbit(want)), label
-        iterations, alpha, beta, residuals, passes = fields
+        iterations, alpha, residuals = fields
         assert diag.iterations_run == iterations, label
         assert np.array_equal(diag.scale_alpha, alpha), label
-        assert np.array_equal(diag.scale_beta, beta), label
         assert np.array_equal(diag.residual_per_iter, residuals), label
-        assert np.array_equal(diag.pass_residuals, passes), label
 
 
 @pytest.mark.parametrize("x,updates,residuals", [
-    (np.diag([1.0, -1.0]), 2, [3.4301056835030606, 18.903398360213288]),
-    (np.diag([1.0, -0.3, 0.2]), 3, [1.8687939185810034, 3.703842618192371, 22.718362500140714]),
+    (np.diag([1.0, -1.0]), 2, [3.43010568350306, 18.903398360213288]),
+    (np.diag([1.0, -0.3, 0.2]), 3, [1.8687939185810032, 3.703842618192371, 22.71836250014071]),
 ])
 def test_coupled_divergence_reports_are_pinned(x, updates, residuals):
     with pytest.raises(KernelDivergenceError, match="residual grew") as info:
@@ -611,7 +571,6 @@ def test_coupled_divergence_reports_are_pinned(x, updates, residuals):
     diag = info.value.diagnostics
     assert diag.iterations_run == updates
     assert diag.residual_per_iter == residuals
-    assert diag.pass_residuals == []
 
 
 # --- the helper lane of the inverse-root pass --------------------------------
@@ -644,12 +603,13 @@ def lane_floor(monkeypatch):
 @pytest.mark.parametrize("p,reference", [
     (SpectralExponent.HALF, _ref_half),
     (SpectralExponent.QUARTER, _ref_quarter),
+    (SpectralExponent.ZERO, _ref_cubic),
 ])
 def test_the_root_pass_matches_the_textbook_loop_on_either_lane(lane_floor, side, lane, p,
                                                                   reference):
     set_floor, folded = lane_floor
     set_floor(side)
-    _assert_textbook_bits(p, "quintic", reference)
+    _assert_textbook_bits(p, "cubic" if p is SpectralExponent.ZERO else "quintic", reference)
     assert set(folded) == {lane}
 
 
@@ -659,6 +619,9 @@ def test_every_exit_of_the_root_pass_joins_its_helper(lane_floor):
     exits = []
     spectral_transform(spectrum_matrix(np.random.default_rng(0), 16, 8, 1e2),
                        SpectralExponent.HALF)
+    exits.append((len(folded), root_threads()))
+    with pytest.raises(KernelDivergenceError, match="residual stuck"):
+        polar_cubic(np.ones((6, 4)))
     exits.append((len(folded), root_threads()))
     rng = np.random.default_rng(0)
     rank64 = rng.standard_normal((128, 64)) @ rng.standard_normal((64, 128)) / 64
