@@ -1,4 +1,5 @@
-"""Dense float64 matrices and the plain-text matrix format.
+"""Dense float64 matrices, the plain-text matrix format, and the threads
+that make BLAS calls: the one-thread pin, the lane count and Lane.
 
 Matrices are ordinary numpy arrays: 2-D, float64, C (row-major) order.
 Products on the per-step path are written ``a.dot(b)`` rather than
@@ -14,10 +15,12 @@ on the same platform and BLAS build.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
 import math
 import os
+import queue
 import threading
 from pathlib import Path
 
@@ -66,6 +69,61 @@ def one_blas_thread():
     finally:
         with _pin_lock:
             set_(_found.pop())
+
+
+class Lane(contextlib.AbstractContextManager):
+    """Runs pushed calls in push order: on one helper thread named ``name``,
+    in a copy of its creator's context (numpy's error state is a context
+    variable), or at once on the caller's when ``helper`` is false.
+
+    wait() returns the last call's value, or re-raises the first failure
+    since the previous wait() and skips the calls after it. Leaving the
+    ``with`` block joins the thread on every exit; a wait() after it reads
+    what the thread left.
+    """
+
+    def __init__(self, helper: bool, name: str):
+        self._value = self._error = None  # the last call's value, the first failure
+        self._pending = 0  # calls pushed to the helper since the last wait()
+        self._calls = queue.SimpleQueue() if helper else None
+        if helper:
+            self._ran = queue.SimpleQueue()  # one item per call the helper has run
+            self._thread = threading.Thread(target=contextvars.copy_context().run,
+                                            args=(self._serve,), name=name)
+            self._thread.start()
+
+    def push(self, fn, *args) -> None:
+        if self._calls is None:
+            self._run(fn, args)
+        else:
+            self._pending += 1
+            self._calls.put((fn, args))
+
+    def wait(self):
+        for _ in range(self._pending):
+            self._ran.get()
+        self._pending = 0
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+        return self._value
+
+    def _run(self, fn, args) -> None:
+        if self._error is None:
+            try:
+                self._value = fn(*args)
+            except BaseException as exc:  # re-raised by wait()
+                self._error = exc
+
+    def _serve(self) -> None:
+        while (call := self._calls.get()) is not None:
+            self._run(*call)
+            self._ran.put(None)
+
+    def __exit__(self, *exc_info) -> None:
+        if self._calls is not None:
+            self._calls.put(None)
+            self._thread.join()
 
 
 @functools.cache

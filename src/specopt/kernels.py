@@ -32,7 +32,7 @@ Matmul counts, with n x n products on the small side n:
                               X_1 = T saves one), 4k - 1 for q = 4 (one more
                               squaring), 5k - 1 for q = 8 (two more); on
                               the critical path one product fewer a step
-                              when X T runs on the helper lane
+                              when X T runs on a helper thread
                               (_inverse_root_core)
     cubic polar               a q = 2 pass plus the Gram and output
                               products: 3k + 1
@@ -56,10 +56,7 @@ before the BLAS call.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import queue
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -273,65 +270,6 @@ def coupled_ns_quarter(
     return a.dot(z.dot(z).dot(z)), z, KernelDiagnostics(updates, alpha, residuals)
 
 
-class _ProductLane:
-    """X = T_1 T_2 ... T_K from the T's pushed in order, one ``x.dot(t)`` each.
-
-    Inline, push folds T in at once. With a helper, a thread named
-    ``specopt-root`` folds them in, in a copy of the caller's context
-    (numpy's error state is a context variable), while the caller goes on;
-    result() waits for the last product and re-raises the helper's failure,
-    and leaving the ``with`` block joins the helper on every exit. Either
-    way X is the same products of the same operands in the same order, so
-    the same bits. A pushed T is never written again: the helper may still
-    be reading it.
-    """
-
-    def __init__(self, helper: bool):
-        self.x = None
-        self.error = None
-        self.queue = queue.SimpleQueue() if helper else None
-        if helper:
-            self.thread = threading.Thread(target=contextvars.copy_context().run,
-                                           args=(self._drain,), name="specopt-root")
-            self.thread.start()
-
-    def push(self, t: np.ndarray) -> None:
-        if self.queue is None:
-            self._fold(t)
-        else:
-            self.queue.put(t)
-
-    def _fold(self, t: np.ndarray) -> None:
-        self.x = t if self.x is None else self.x.dot(t)
-
-    def _drain(self) -> None:
-        try:
-            while (t := self.queue.get()) is not None:
-                self._fold(t)
-        except BaseException as exc:  # re-raised by result(); T's keep coming till then
-            self.error = exc
-            while self.queue.get() is not None:
-                pass
-
-    def _join(self) -> None:
-        if self.queue is not None:
-            self.queue.put(None)
-            self.thread.join()
-            self.queue = None
-
-    def result(self) -> np.ndarray:
-        self._join()
-        if self.error is not None:
-            raise self.error
-        return self.x
-
-    def __enter__(self) -> "_ProductLane":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._join()
-
-
 # Gram side from which X = T_1 ... T_K goes to a helper thread: below it the
 # hand-offs cost more than the product. p = 1/2 calls on a 2-core host at one
 # BLAS thread, inline -> helper: 24 wide 171 -> 664 us, 96 wide +2 %,
@@ -353,9 +291,9 @@ def _inverse_root_core(
     matmuls: X_1 = T saves one.
 
     The M chain never reads X, so from _LANE_MIN_SIDE wide, when another
-    thread may make BLAS calls beside this one (dense.step_lanes), X is
-    built on a helper thread (_ProductLane) and the chain's steps are one
-    product shorter.
+    thread may make BLAS calls beside this one (dense.step_lanes), the
+    folds X <- X T run on a helper thread (a dense.Lane named
+    ``specopt-root``) and the chain's steps are one product shorter.
     """
     alpha = frobenius_norm(a)
     if alpha == 0.0:
@@ -367,10 +305,21 @@ def _inverse_root_core(
     m = a / alpha
     updates = 0
     residuals: list[float] = []
-    with _ProductLane(n >= _LANE_MIN_SIDE and dense.step_lanes() > 1) as lane:
+    # X's products go into two buffers allocated here, so no fold allocates.
+    # out= keeps x.dot(t)'s bits; it is never X's buffer or a pushed T,
+    # which the chain may still be reading.
+    buffers = np.empty((n, n)), np.empty((n, n))
+    x = None
+
+    def fold(t):
+        nonlocal x
+        x = t if x is None else x.dot(t, out=buffers[x is buffers[0]])
+        return x
+
+    with dense.Lane(n >= _LANE_MIN_SIDE and dense.step_lanes() > 1, "specopt-root") as lane:
         while True:
             t = (eye_q1 - m) / q
-            lane.push(t)
+            lane.push(fold, t)
             tq = t
             for _ in range(squarings):
                 tq = tq.dot(tq)
@@ -378,13 +327,14 @@ def _inverse_root_core(
             updates += 1
             res = _residual(m, eye, label, updates, alpha, residuals)
             if updates >= iters or res <= _COUPLED_EXIT:
-                return lane.result(), alpha, residuals, updates
+                break
             # The spectrum of M stays in (0, 1]; growth means blow-up.
             if res > residuals[0] * 2.0 + 10.0:
                 raise KernelDivergenceError(
                     f"{label}: residual grew to {res:.3e}",
                     diagnostics=KernelDiagnostics(updates, alpha, residuals),
                 )
+    return lane.wait(), alpha, residuals, updates
 
 
 # O (O^T O)^(-j/q) has singular values sigma^p for p = 1 - 2 j / q: the

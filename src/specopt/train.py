@@ -13,15 +13,15 @@ but never serialized, so output files stay byte-stable.
 The matrix parameters' steps share nothing within a step, so when the
 exponent is not one, the run has two or more matrix parameters and the
 process may use two or more CPUs, the costliest of them step on helper
-threads while the calling thread steps the rest (see _step_params). Each
-step is the same computation on the same inputs whichever thread runs it,
-so a run's rows do not depend on the CPU count.
+threads while the calling thread steps the rest (see _step_params): one
+dense.Lane per offloaded parameter, started once and joined when the run
+ends. Each step is the same computation on the same inputs whichever
+thread runs it, so a run's rows do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import hashlib
 import math
 import time
@@ -312,43 +312,33 @@ def _offloaded(params: Mapping[str, np.ndarray], matrix_names: list[str],
     return sorted(matrix_names, key=lambda name: (-min(params[name].shape), name))[:helpers]
 
 
-def _step_pool(helpers: int):
-    """A thread pool of ``helpers`` threads, or no pool when there are none."""
-    if not helpers:
-        return contextlib.nullcontext()
-    from concurrent.futures import ThreadPoolExecutor  # costs ms to import; most runs need none
-
-    return ThreadPoolExecutor(helpers, thread_name_prefix="specopt-step")
-
-
-def _step_params(params, grads, states, matrix_names, offloaded, pool, optimizer, hp) -> None:
+def _step_params(params, grads, states, matrix_names, lanes, optimizer, hp) -> None:
     """One step of every parameter, assigned in sorted name order.
 
-    The offloaded matrix parameters step on the pool, each in a copy of the
-    caller's context (numpy's error state is a context variable), while the
-    calling thread steps the other matrix parameters; only then does it wait
-    for the helpers. The new values, and the vector steps, are then assigned
-    name by name. A step that raised re-raises at its name's turn, so the
-    names before it are stepped and the ones after it keep their old values,
-    as in one serial pass.
+    Each offloaded matrix parameter steps on its lane (``lanes``, by name)
+    while the calling thread steps the other matrix parameters; only then
+    does it wait for the lanes. The new values, and the vector steps, are
+    then assigned name by name. A step that raised re-raises at its name's
+    turn, so the names before it are stepped and the ones after it keep
+    their old values, as in one serial pass.
     """
     def matrix_step(name):
         return step_matrix_param(params[name], grads[name], states[name],
                                  optimizer, hp, param_name=name)
 
-    futures = {name: pool.submit(contextvars.copy_context().run, matrix_step, name)
-               for name in offloaded}
+    for name, lane in lanes.items():
+        lane.push(matrix_step, name)
     outcomes = {}
     for name in matrix_names:
-        if name not in futures:
+        if name not in lanes:
             try:
                 outcomes[name] = matrix_step(name)
             except Exception as exc:  # re-raised at its turn; later names are not assigned
                 outcomes[name] = exc
                 break
-    for name, future in futures.items():
+    for name, lane in lanes.items():
         try:
-            outcomes[name] = future.result()
+            outcomes[name] = lane.wait()
         except Exception as exc:
             outcomes[name] = exc
     for name in sorted(params):
@@ -371,7 +361,7 @@ def run_training(cfg: TrainConfig) -> RunRecord:
     gradient error inside a step) ends the run with outcome "diverged" and
     a final row carrying the offending loss; it never raises. Its BLAS calls
     run on one thread (a count the caller's other threads share), restored
-    on every exit once the helper threads of its steps are shut down.
+    on every exit once the lanes of its steps are joined.
     """
     start = time.perf_counter()
     task = make_task(cfg.task, cfg.seed, cfg.corpus_path)
@@ -385,7 +375,6 @@ def run_training(cfg: TrainConfig) -> RunRecord:
         name: OptimizerState.initial(p, need_v if name in matrix_names else True)
         for name, p in params.items()
     }
-    offloaded = _offloaded(params, matrix_names, cfg.optimizer.exponent)
 
     initial_loss = task.train_loss(params)
     threshold = cfg.divergence_threshold
@@ -395,7 +384,9 @@ def run_training(cfg: TrainConfig) -> RunRecord:
     record.rows.append(EvalRow(0, initial_loss, task.eval_loss(params), 0.0))
 
     batches = _BatchStream(task.num_train, cfg.batch_size, batch_rng)
-    with _step_pool(len(offloaded)) as pool:
+    with contextlib.ExitStack() as stack:
+        lanes = {name: stack.enter_context(dense.Lane(True, f"specopt-step-{name}"))
+                 for name in _offloaded(params, matrix_names, cfg.optimizer.exponent)}
         for step in range(1, cfg.total_steps + 1):
             lr_eff = float(lr_at(cfg, step))
             hp_step = replace(cfg.hp, lr_mat=lr_eff)
@@ -406,7 +397,7 @@ def run_training(cfg: TrainConfig) -> RunRecord:
                 if not np.isfinite(loss) or loss > threshold:
                     diverged = True
                 else:
-                    _step_params(params, grads, states, matrix_names, offloaded, pool,
+                    _step_params(params, grads, states, matrix_names, lanes,
                                  cfg.optimizer, hp_step)
             except ToolkitError:
                 loss = float("nan")

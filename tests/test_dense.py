@@ -1,12 +1,18 @@
-"""Dense matrix helpers and the plain-text matrix format."""
+"""Dense matrix helpers, the plain-text matrix format and the lane primitive."""
 
+import contextlib
+import functools
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from specopt import dense
 from specopt.dense import (
+    Lane,
     as_matrix,
     blas_threads,
     format_matrix,
@@ -114,6 +120,110 @@ def test_a_second_lane_needs_one_blas_thread_per_call(monkeypatch):
     for count, lanes in ((None, 1), (2, 1), (1, len(os.sched_getaffinity(0)))):
         monkeypatch.setattr(dense, "blas_threads", lambda: count)
         assert dense.step_lanes() == lanes, count
+
+
+def lane_threads():
+    return [t for t in threading.enumerate() if t.name == "specopt-test"]
+
+
+@pytest.mark.parametrize("helper", [False, True])
+def test_a_lane_runs_its_calls_in_push_order(helper):
+    order = []
+    with Lane(helper, "specopt-test") as lane:
+        for i in range(50):
+            lane.push(order.append, i)
+        lane.push(threading.current_thread)
+        thread = lane.wait()
+        lane.push(len, order)
+    assert lane.wait() == 50  # read after the join
+    assert order == list(range(50))
+    assert (thread.name == "specopt-test") is helper and not lane_threads()
+
+
+def test_the_creators_error_state_reaches_the_helper():
+    def overflow():
+        return np.float64(1e300) * np.float64(1e300)
+
+    with np.errstate(over="raise"), Lane(True, "specopt-test") as lane:
+        lane.push(overflow)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            lane.wait()
+    with np.errstate(over="ignore"), Lane(True, "specopt-test") as lane:
+        lane.push(overflow)
+        assert lane.wait() == np.inf
+
+
+@pytest.mark.parametrize("helper", [False, True])
+def test_the_first_failure_reraises_at_wait_and_skips_later_calls(helper):
+    ran = []
+
+    def fail(message):
+        ran.append(message)
+        raise ValueError(message)
+
+    with Lane(helper, "specopt-test") as lane:
+        lane.push(ran.append, "before")
+        lane.push(fail, "first")
+        lane.push(fail, "second")
+        lane.push(ran.append, "after")
+        with pytest.raises(ValueError, match="first"):
+            lane.wait()
+        assert ran == ["before", "first"]
+        lane.push(len, ran)  # a wait starts the next batch afresh
+        assert lane.wait() == 2
+
+
+def test_leaving_the_block_by_an_exception_joins_the_helper():
+    done = []
+    with pytest.raises(RuntimeError, match="caller"):
+        with Lane(True, "specopt-test") as lane:
+            lane.push(threading.current_thread)
+            thread = lane.wait()
+            lane.push(time.sleep, 0.05)  # still running when the caller raises
+            lane.push(done.append, "queued")
+            raise RuntimeError("caller")
+    assert thread.name == "specopt-test" and not thread.is_alive()
+    assert done == ["queued"]
+
+
+def test_three_lanes_keep_order_and_counts_under_fast_thread_switches():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        logs = [[], [], []]  # three helpers: more threads than a two-CPU host has CPUs
+        with contextlib.ExitStack() as stack:
+            lanes = [stack.enter_context(Lane(True, "specopt-test")) for _ in logs]
+            for batch in range(1, 31):
+                for log, lane in zip(logs, lanes):
+                    for i in range(20):
+                        lane.push(log.append, i)
+                    lane.push(len, log)
+                # A wait() that returned before its calls had run would read short.
+                assert [lane.wait() for lane in lanes] == [20 * batch] * 3
+        assert logs == [list(range(20)) * 30] * 3 and not lane_threads()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_inline_and_helper_lanes_give_the_same_bits():
+    rng = np.random.default_rng(0)
+    ts = [rng.standard_normal((128, 128)) / 10 for _ in range(8)]
+    products = []
+    with one_blas_thread():
+        for helper in (False, True):
+            x = np.eye(128)
+
+            def fold(t):
+                nonlocal x
+                x = x.dot(t)
+                return x
+
+            with Lane(helper, "specopt-test") as lane:
+                for t in ts:
+                    lane.push(fold, t)
+                products.append(lane.wait())
+        serial = functools.reduce(np.dot, ts, np.eye(128))
+    assert products[0].tobytes() == products[1].tobytes() == serial.tobytes()
 
 
 def test_as_matrix_reshape_and_validation():

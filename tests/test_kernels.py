@@ -586,13 +586,15 @@ def lane_floor(monkeypatch):
     thread per call; returns the setter and the names of the threads that
     computed each product of X."""
     folded = []
-    fold = kernels._ProductLane._fold
+    push = dense.Lane.push
 
-    def spy(self, t):
-        folded.append(threading.current_thread().name)
-        fold(self, t)
+    def spying(self, fn, *args):
+        def spy(*args):
+            folded.append(threading.current_thread().name)
+            return fn(*args)
+        push(self, spy, *args)
 
-    monkeypatch.setattr(kernels._ProductLane, "_fold", spy)
+    monkeypatch.setattr(dense.Lane, "push", spying)
     with dense.one_blas_thread():
         if dense.step_lanes() < 2:
             pytest.skip("needs two CPUs and a BLAS whose thread count can be set")
@@ -645,21 +647,22 @@ def test_every_exit_of_the_root_pass_joins_its_helper(lane_floor):
 def test_a_failure_on_the_helper_reaches_the_caller(lane_floor, monkeypatch):
     set_floor, _ = lane_floor
     set_floor(1)
-    with kernels._ProductLane(True) as lane:
-        for t in (np.ones((2, 3)), np.ones((2, 3)), np.ones((3, 3))):
-            lane.push(t)
+    with dense.Lane(True, "specopt-root") as lane:
+        for a, b in ((np.ones((2, 3)), np.ones((2, 3))), (np.ones((3, 3)), np.ones((3, 3)))):
+            lane.push(np.dot, a, b)
         with pytest.raises(ValueError, match="not aligned"):
-            lane.result()
+            lane.wait()
     assert not root_threads()
-    fold, calls = kernels._ProductLane._fold, []
+    push, pushed = dense.Lane.push, []
 
-    def failing(self, t):
-        calls.append(threading.current_thread().name)
-        if len(calls) == 4:
-            raise MemoryError(f"no room for X on {calls[-1]}")
-        fold(self, t)
+    def pushing(self, fn, *args):
+        pushed.append(fn)
+        if len(pushed) == 4:
+            def fn(t):
+                raise MemoryError(f"no room for X on {threading.current_thread().name}")
+        push(self, fn, *args)
 
-    monkeypatch.setattr(kernels._ProductLane, "_fold", failing)
+    monkeypatch.setattr(dense.Lane, "push", pushing)
     with pytest.raises(MemoryError, match="no room for X on specopt-root"):
         spectral_transform(spectrum_matrix(np.random.default_rng(0), 16, 8, 1e2),
                            SpectralExponent.QUARTER)

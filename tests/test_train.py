@@ -381,38 +381,50 @@ def run_on(monkeypatch, lanes, cfg):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Count the step pools runs create, by their helper counts."""
-    from concurrent import futures
-
+def step_lane_names(monkeypatch):
+    """The names of the step lanes runs open, each a helper thread."""
     made = []
-    real = futures.ThreadPoolExecutor
+    init = dense.Lane.__init__
 
-    def counting(helpers, **kwargs):
-        made.append(helpers)
-        return real(helpers, **kwargs)
+    def counting(self, helper, name):
+        if name.startswith("specopt-step"):
+            assert helper
+            made.append(name)
+        init(self, helper, name)
 
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", counting)
+    monkeypatch.setattr(dense.Lane, "__init__", counting)
     return made
 
 
 @pytest.mark.parametrize("token", SPECTRAL)
-def test_rows_do_not_depend_on_the_cpu_count(monkeypatch, pools, token):
+def test_rows_do_not_depend_on_the_cpu_count(monkeypatch, step_lane_names, token):
     for lr, outcome in ((CHARLM_LR[token], COMPLETED), (300 * CHARLM_LR[token], DIVERGED)):
         cfg = charlm_config(token, lr)
         serial = run_on(monkeypatch, 1, cfg)
-        assert serial.outcome == outcome and pools == []
+        assert serial.outcome == outcome and step_lane_names == []
         for lanes in (2, 3):
             assert run_on(monkeypatch, lanes, cfg).to_csv(token) == serial.to_csv(token)
-            assert pools.pop() == lanes - 1
+            assert step_lane_names == ["specopt-step-W1", "specopt-step-W2"][:lanes - 1]
+            step_lane_names.clear()
 
 
 @pytest.mark.parametrize("task, token", [("charlm", "msgd"), ("charlm", "adam"),
                                          ("matreg", "msgdq"), ("matreg", "adamz")])
-def test_identity_exponent_and_single_matrix_runs_start_no_thread(monkeypatch, pools, task, token):
+def test_identity_exponent_and_single_matrix_runs_start_no_thread(monkeypatch, step_lane_names,
+                                                                  task, token):
     cfg = charlm_config(token, 0.01, task=task)
     record = run_on(monkeypatch, 4, cfg)
-    assert record.outcome == COMPLETED and pools == []
+    assert record.outcome == COMPLETED and step_lane_names == []
+
+
+def test_a_run_steps_each_offloaded_matrix_on_one_thread_throughout(monkeypatch):
+    threads = []
+    before_step(monkeypatch, "W1", lambda: threads.append(threading.current_thread()))
+    cfg = charlm_config("msgds", CHARLM_LR["msgds"])
+    assert run_on(monkeypatch, 2, cfg).outcome == COMPLETED
+    assert len(threads) == cfg.total_steps
+    assert len(set(threads)) == 1 and len({t.ident for t in threads}) == 1
+    assert threads[0].name.startswith("specopt-step") and not threads[0].is_alive()
 
 
 def capture_params(monkeypatch):
