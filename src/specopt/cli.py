@@ -206,19 +206,19 @@ _TRANSFORM_TOL = {
 def cmd_transform(args) -> int:
     matrix = read_matrix(args.input)
     exponent = SpectralExponent.from_token(args.p)
-    if exponent is SpectralExponent.ZERO:
-        tol = (
-            calibration.REL_TOL_POLAR_CUBIC
-            if args.zero_method == "cubic"
-            else calibration.REL_TOL_ZERO_QUINTIC
-        )
-    else:
-        tol = _TRANSFORM_TOL[exponent]
-
-    if args.method == "oracle":
+    if args.method == "oracle":  # exact: no calibrated kernel ran
+        tol = None
         result = spectral_power_exact(matrix, exponent.power)
         diag_payload = {"iterations": None, "alpha": None, "residuals": []}
     else:
+        if exponent is SpectralExponent.ZERO:
+            tol = (
+                calibration.REL_TOL_POLAR_CUBIC
+                if args.zero_method == "cubic"
+                else calibration.REL_TOL_ZERO_QUINTIC
+            )
+        else:
+            tol = _TRANSFORM_TOL[exponent]
         result, diag = spectral_transform(
             matrix, exponent, iters=args.iters, zero_method=args.zero_method
         )

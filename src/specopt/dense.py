@@ -79,7 +79,8 @@ class Lane(contextlib.AbstractContextManager):
     wait() returns the last call's value, or re-raises the first failure
     since the previous wait() and skips the calls after it. Leaving the
     ``with`` block joins the thread on every exit; a wait() after it reads
-    what the thread left.
+    what the thread left. run_training opens one per matrix parameter per
+    run; the inverse-root pass one per call, for its X folds.
     """
 
     def __init__(self, helper: bool, name: str):

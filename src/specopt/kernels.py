@@ -305,15 +305,11 @@ def _inverse_root_core(
     m = a / alpha
     updates = 0
     residuals: list[float] = []
-    # X's products go into two buffers allocated here, so no fold allocates.
-    # out= keeps x.dot(t)'s bits; it is never X's buffer or a pushed T,
-    # which the chain may still be reading.
-    buffers = np.empty((n, n)), np.empty((n, n))
     x = None
 
     def fold(t):
         nonlocal x
-        x = t if x is None else x.dot(t, out=buffers[x is buffers[0]])
+        x = t if x is None else x.dot(t)
         return x
 
     with dense.Lane(n >= _LANE_MIN_SIDE and dense.step_lanes() > 1, "specopt-root") as lane:

@@ -14,13 +14,14 @@ rate differ.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError
 from .optim import OptimizerKind
-from .train import DIVERGED, RunRecord, TrainConfig, run_training
+from .train import RunRecord, TrainConfig, run_training
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,8 @@ class SweepReport:
         return all(not t.completed for t in self.trials)
 
 
-def _best_trial(trials: dict[float, TrialResult]) -> TrialResult | None:
-    completed = [t for t in trials.values() if t.completed]
+def _best_trial(trials: Iterable[TrialResult]) -> TrialResult | None:
+    completed = [t for t in trials if t.completed]
     if not completed:
         return None
     return min(completed, key=lambda t: (t.eval_loss, t.lr))
@@ -116,7 +117,7 @@ def run_sweep(
 
         for lr in plan.coarse_grid:
             run_one(lr)
-        incumbent = _best_trial(trials)
+        incumbent = _best_trial(trials.values())
         rounds = 0
         while incumbent is not None and rounds < plan.max_fine_rounds:
             if _beats_neighbors(trials, incumbent):
@@ -129,7 +130,7 @@ def run_sweep(
                 break
             for lr in fresh:
                 run_one(lr)
-            incumbent = _best_trial(trials)
+            incumbent = _best_trial(trials.values())
             rounds += 1
 
         report.trials.extend(trials[lr] for lr in sorted(trials))
@@ -156,10 +157,9 @@ class StabilityProfile:
 def classify_stability(trials: list[TrialResult]) -> StabilityProfile:
     ordered = sorted(trials, key=lambda t: t.lr)
     labels = [(t.lr, "stable" if t.completed else "diverged") for t in ordered]
-    completed = [t for t in ordered if t.completed]
-    if not completed:
+    best = _best_trial(ordered)
+    if best is None:
         return StabilityProfile(labels, 0.0, None, None)
-    best = min(completed, key=lambda t: (t.eval_loss, t.lr))
     idx = next(i for i, t in enumerate(ordered) if t.lr == best.lr)
     lo = idx
     while lo > 0 and ordered[lo - 1].completed:

@@ -74,9 +74,10 @@ def builtin_corpus() -> str:
     return resources.files("specopt.data").joinpath("corpus.txt").read_text(encoding="utf-8")
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
+def seeded_rng(seed: int, stream: int) -> np.random.Generator:
     # One documented generator everywhere: PCG64 seeded through SeedSequence
-    # with a (seed, stream) pair, deterministic across platforms.
+    # with a (seed, stream) pair, deterministic across platforms. Stream 0
+    # builds a task's data, 1 a run's initial weights and 2 its batches.
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
 
 
@@ -104,7 +105,7 @@ class MatrixRegression:
     ):
         if eval_rows >= data_rows:
             raise ConfigError("eval_rows must leave at least one training row")
-        rng = _rng(seed, 0)
+        rng = seeded_rng(seed, 0)
         self.a_map = rng.standard_normal((data_rows, w_rows)) / np.sqrt(w_rows)
         self.b_map = rng.standard_normal((w_cols, out_cols)) / np.sqrt(w_cols)
         w_star = rng.standard_normal((w_rows, w_cols))
@@ -165,7 +166,7 @@ class CharMlp:
         total = self.data.shape[0] - context
         if total < 20:
             raise ConfigError(f"corpus too short: only {total} usable positions")
-        positions = _rng(seed, 0).permutation(total)
+        positions = seeded_rng(seed, 0).permutation(total)
         n_eval = max(1, int(round(total * holdout_fraction)))
         self._eval_positions = positions[:n_eval]
         self._train_positions = positions[n_eval:]

@@ -10,12 +10,12 @@ bit-reproduces every recorded row on the same platform and BLAS build (a
 run pins one BLAS thread per call). Wall time is kept on the record object
 but never serialized, so output files stay byte-stable.
 
-The matrix parameters' steps share nothing within a step, so when the
-exponent is not one, the run has two or more matrix parameters and the
-process may use two or more CPUs, the costliest of them step on helper
-threads while the calling thread steps the rest (see _step_params): one
-dense.Lane per offloaded parameter, started once and joined when the run
-ends. Each step is the same computation on the same inputs whichever
+Every matrix parameter steps on its own dense.Lane, opened once per run
+and joined when the run ends (see _step_params). The steps share nothing
+within a step, so when the exponent is not one, the run has two or more
+matrix parameters and the process may use two or more CPUs, the costliest
+of them have helper-thread lanes, and the calling thread steps the rest on
+inline ones. Each step is the same computation on the same inputs whichever
 thread runs it, so a run's rows do not depend on the CPU count.
 """
 
@@ -43,7 +43,7 @@ from .optim import (
     step_matrix_param,
     step_vector_param,
 )
-from .tasks import make_task
+from .tasks import make_task, seeded_rng
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -312,15 +312,16 @@ def _offloaded(params: Mapping[str, np.ndarray], matrix_names: list[str],
     return sorted(matrix_names, key=lambda name: (-min(params[name].shape), name))[:helpers]
 
 
-def _step_params(params, grads, states, matrix_names, lanes, optimizer, hp) -> None:
+def _step_params(params, grads, states, lanes, optimizer, hp) -> None:
     """One step of every parameter, assigned in sorted name order.
 
-    Each offloaded matrix parameter steps on its lane (``lanes``, by name)
-    while the calling thread steps the other matrix parameters; only then
-    does it wait for the lanes. The new values, and the vector steps, are
+    Every matrix parameter steps on its lane (``lanes``, by name, helpers
+    first): the pushes start the helpers' steps, then run the inline lanes'
+    steps on the calling thread. The new values, and the vector steps, are
     then assigned name by name. A step that raised re-raises at its name's
-    turn, so the names before it are stepped and the ones after it keep
-    their old values, as in one serial pass.
+    turn (Lane.wait), so the names before it are stepped and the ones after
+    it keep their old values, as in one serial pass. Inline steps after a
+    failed one may still run, but are never assigned: the run ends there.
     """
     def matrix_step(name):
         return step_matrix_param(params[name], grads[name], states[name],
@@ -328,29 +329,13 @@ def _step_params(params, grads, states, matrix_names, lanes, optimizer, hp) -> N
 
     for name, lane in lanes.items():
         lane.push(matrix_step, name)
-    outcomes = {}
-    for name in matrix_names:
-        if name not in lanes:
-            try:
-                outcomes[name] = matrix_step(name)
-            except Exception as exc:  # re-raised at its turn; later names are not assigned
-                outcomes[name] = exc
-                break
-    for name, lane in lanes.items():
-        try:
-            outcomes[name] = lane.wait()
-        except Exception as exc:
-            outcomes[name] = exc
     for name in sorted(params):
-        if name not in matrix_names:
+        if name in lanes:
+            params[name], states[name], _ = lanes[name].wait()
+        else:
             params[name], states[name] = step_vector_param(
                 params[name], grads[name], states[name], hp, param_name=name,
             )
-            continue
-        outcome = outcomes[name]
-        if isinstance(outcome, Exception):
-            raise outcome
-        params[name], states[name], _ = outcome
 
 
 @dense.one_blas_thread()
@@ -365,9 +350,7 @@ def run_training(cfg: TrainConfig) -> RunRecord:
     """
     start = time.perf_counter()
     task = make_task(cfg.task, cfg.seed, cfg.corpus_path)
-    init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1])))
-    batch_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 2])))
-    params = task.init_params(init_rng)
+    params = task.init_params(seeded_rng(cfg.seed, 1))
 
     matrix_names = sorted(n for n, p in params.items() if p.ndim == 2 and min(p.shape) > 1)
     need_v = cfg.optimizer.base is InputKind.RMS_NORMALIZED
@@ -383,10 +366,11 @@ def run_training(cfg: TrainConfig) -> RunRecord:
     record = RunRecord(config_digest=config_digest(cfg))
     record.rows.append(EvalRow(0, initial_loss, task.eval_loss(params), 0.0))
 
-    batches = _BatchStream(task.num_train, cfg.batch_size, batch_rng)
+    batches = _BatchStream(task.num_train, cfg.batch_size, seeded_rng(cfg.seed, 2))
     with contextlib.ExitStack() as stack:
-        lanes = {name: stack.enter_context(dense.Lane(True, f"specopt-step-{name}"))
-                 for name in _offloaded(params, matrix_names, cfg.optimizer.exponent)}
+        helpers = _offloaded(params, matrix_names, cfg.optimizer.exponent)
+        lanes = {name: stack.enter_context(dense.Lane(name in helpers, f"specopt-step-{name}"))
+                 for name in helpers + [n for n in matrix_names if n not in helpers]}
         for step in range(1, cfg.total_steps + 1):
             lr_eff = float(lr_at(cfg, step))
             hp_step = replace(cfg.hp, lr_mat=lr_eff)
@@ -397,8 +381,7 @@ def run_training(cfg: TrainConfig) -> RunRecord:
                 if not np.isfinite(loss) or loss > threshold:
                     diverged = True
                 else:
-                    _step_params(params, grads, states, matrix_names, lanes,
-                                 cfg.optimizer, hp_step)
+                    _step_params(params, grads, states, lanes, cfg.optimizer, hp_step)
             except ToolkitError:
                 loss = float("nan")
                 diverged = True

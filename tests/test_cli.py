@@ -193,9 +193,15 @@ def test_transform_oracle_flattens_the_diagonal_fixture(tmp_path):
     assert np.allclose(got, np.diag([3.0, 2.0, 1.0, 0.1, 0.01]), atol=1e-9)
     sidecar = json.loads((tmp_path / "out.mat.diag.json").read_text())
     assert sidecar["method"] == "oracle"
+    assert sidecar["calibrated_rel_tol"] is None
     assert sidecar["iterations"] is None
     assert sidecar["alpha"] is None
     assert sidecar["residuals"] == []
+    for extra in ([], ["--zero-method", "cubic"]):  # no kernel's band, whichever is named
+        assert main(["transform", str(src), str(dst), "--p", "0", "--method", "oracle"]
+                    + extra) == EXIT_OK
+        sidecar = json.loads((tmp_path / "out.mat.diag.json").read_text())
+        assert sidecar["calibrated_rel_tol"] is None
 
 
 def test_transform_ns_matches_oracle_within_published_tolerance(tmp_path):

@@ -381,40 +381,71 @@ def run_on(monkeypatch, lanes, cfg):
 
 
 @pytest.fixture
-def step_lane_names(monkeypatch):
-    """The names of the step lanes runs open, each a helper thread."""
-    made = []
+def step_lanes_opened(monkeypatch):
+    """(name, helper) of each step lane runs open, in opening order."""
+    opened = []
     init = dense.Lane.__init__
 
-    def counting(self, helper, name):
+    def recording(self, helper, name):
         if name.startswith("specopt-step"):
-            assert helper
-            made.append(name)
+            opened.append((name, helper))
         init(self, helper, name)
 
-    monkeypatch.setattr(dense.Lane, "__init__", counting)
-    return made
+    monkeypatch.setattr(dense.Lane, "__init__", recording)
+    return opened
 
 
 @pytest.mark.parametrize("token", SPECTRAL)
-def test_rows_do_not_depend_on_the_cpu_count(monkeypatch, step_lane_names, token):
+def test_rows_do_not_depend_on_the_cpu_count(monkeypatch, step_lanes_opened, token):
+    """One lane per matrix parameter, helpers first: _offloaded's picks."""
     for lr, outcome in ((CHARLM_LR[token], COMPLETED), (300 * CHARLM_LR[token], DIVERGED)):
         cfg = charlm_config(token, lr)
-        serial = run_on(monkeypatch, 1, cfg)
-        assert serial.outcome == outcome and step_lane_names == []
-        for lanes in (2, 3):
-            assert run_on(monkeypatch, lanes, cfg).to_csv(token) == serial.to_csv(token)
-            assert step_lane_names == ["specopt-step-W1", "specopt-step-W2"][:lanes - 1]
-            step_lane_names.clear()
+        rows = []
+        for lanes in (1, 2, 3):
+            record = run_on(monkeypatch, lanes, cfg)
+            assert record.outcome == outcome
+            rows.append(record.to_csv(token))
+            helpers = ["W1", "W2"][:lanes - 1]
+            order = helpers + [name for name in ("W1", "W2", "embed") if name not in helpers]
+            assert step_lanes_opened == [(f"specopt-step-{name}", name in helpers)
+                                         for name in order]
+            step_lanes_opened.clear()
+        assert rows[1:] == rows[:1] * 2
 
 
 @pytest.mark.parametrize("task, token", [("charlm", "msgd"), ("charlm", "adam"),
                                          ("matreg", "msgdq"), ("matreg", "adamz")])
-def test_identity_exponent_and_single_matrix_runs_start_no_thread(monkeypatch, step_lane_names,
+def test_identity_exponent_and_single_matrix_runs_start_no_thread(monkeypatch, step_lanes_opened,
                                                                   task, token):
     cfg = charlm_config(token, 0.01, task=task)
     record = run_on(monkeypatch, 4, cfg)
-    assert record.outcome == COMPLETED and step_lane_names == []
+    assert record.outcome == COMPLETED
+    matrices = {"charlm": 3, "matreg": 1}[task]
+    assert [helper for _, helper in step_lanes_opened] == [False] * matrices
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_each_step_pushes_the_helper_lanes_before_the_inline_ones(monkeypatch, lanes):
+    """An inline lane runs its step at push, so one pushed first would hold
+    the helpers back until it returned: the same bits, but a serial step."""
+    helper_of, pushed = {}, []
+    init, push = dense.Lane.__init__, dense.Lane.push
+
+    def opening(self, helper, name):
+        if name.startswith("specopt-step"):
+            helper_of[self] = helper
+        init(self, helper, name)
+
+    def pushing(self, fn, *args):
+        if self in helper_of:
+            pushed.append(helper_of[self])
+        push(self, fn, *args)
+
+    monkeypatch.setattr(dense.Lane, "__init__", opening)
+    monkeypatch.setattr(dense.Lane, "push", pushing)
+    cfg = charlm_config("msgds", CHARLM_LR["msgds"])
+    assert run_on(monkeypatch, lanes, cfg).outcome == COMPLETED
+    assert pushed == ([True] * (lanes - 1) + [False] * (4 - lanes)) * cfg.total_steps
 
 
 def test_a_run_steps_each_offloaded_matrix_on_one_thread_throughout(monkeypatch):
