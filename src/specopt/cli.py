@@ -20,7 +20,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
-from . import calibration
 from .dense import read_matrix, write_matrix
 from .errors import (
     ConfigError,
@@ -30,7 +29,7 @@ from .errors import (
     PoisonedGradientError,
     ToolkitError,
 )
-from .kernels import SpectralExponent, spectral_transform
+from .kernels import ZERO_METHODS, SpectralExponent, route, spectral_transform
 from .optim import ALL_OPTIMIZERS, OptimizerKind, parse_optimizer
 from .oracle import spectral_power_exact
 from .sweep import SweepPlan, classify_stability, run_sweep
@@ -196,13 +195,6 @@ def _dump_json(path: Path, payload) -> None:
 
 # --- subcommands ----------------------------------------------------------
 
-_TRANSFORM_TOL = {
-    SpectralExponent.ONE: 0.0,
-    SpectralExponent.HALF: calibration.REL_TOL_HALF,
-    SpectralExponent.QUARTER: calibration.REL_TOL_QUARTER,
-}
-
-
 def cmd_transform(args) -> int:
     matrix = read_matrix(args.input)
     exponent = SpectralExponent.from_token(args.p)
@@ -211,14 +203,7 @@ def cmd_transform(args) -> int:
         result = spectral_power_exact(matrix, exponent.power)
         diag_payload = {"iterations": None, "alpha": None, "residuals": []}
     else:
-        if exponent is SpectralExponent.ZERO:
-            tol = (
-                calibration.REL_TOL_POLAR_CUBIC
-                if args.zero_method == "cubic"
-                else calibration.REL_TOL_ZERO_QUINTIC
-            )
-        else:
-            tol = _TRANSFORM_TOL[exponent]
+        tol = route(exponent, args.zero_method).rel_tol
         result, diag = spectral_transform(
             matrix, exponent, iters=args.iters, zero_method=args.zero_method
         )
@@ -378,9 +363,9 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--p", required=True, help="exponent token: 1, 0.5, 0.25, or 0")
     tr.add_argument("--method", choices=("ns", "oracle"), default="ns")
     tr.add_argument("--iters", type=iters, default=None,
-                    help="iteration override: steps of the one root pass for p=0.5 and 0.25, "
-                    "quintic steps or cubic updates for p=0")
-    tr.add_argument("--zero-method", choices=("quintic", "cubic"), default="quintic",
+                    help="step budget instead of the route's default: steps of the one root "
+                    "pass for p=0.5, 0.25 and the cubic p=0, quintic steps for the quintic")
+    tr.add_argument("--zero-method", choices=ZERO_METHODS, default="quintic",
                     help="polar kernel for p=0")
     tr.set_defaults(fn=cmd_transform)
 

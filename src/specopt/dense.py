@@ -145,22 +145,12 @@ def _openblas_thread_calls():
     return None
 
 
-def as_matrix(data, rows: int | None = None, cols: int | None = None) -> Matrix:
-    """Validate external input into a 2-D float64 C-order array.
-
-    Entries must all be finite. When ``rows``/``cols`` are given the data is
-    reshaped to that layout (row-major) and the element count must match.
-    """
+def as_matrix(data) -> Matrix:
+    """Validate external input into a 2-D float64 C-order array of finite entries."""
     try:
         a = np.array(data, dtype=np.float64, order="C")
     except (TypeError, ValueError) as exc:
         raise MatrixFormatError(f"cannot interpret input as a float matrix: {exc}") from exc
-    if rows is not None or cols is not None:
-        if rows is None or cols is None or rows < 1 or cols < 1:
-            raise ShapeError(f"need both positive dimensions, got rows={rows} cols={cols}")
-        if a.size != rows * cols:
-            raise ShapeError(f"{a.size} entries cannot fill a {rows}x{cols} matrix")
-        a = a.reshape(rows, cols)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got {a.ndim}-D data of shape {a.shape}")
     if a.shape[0] < 1 or a.shape[1] < 1:

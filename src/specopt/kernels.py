@@ -21,6 +21,9 @@ raises its singular values to a power in {1, 1/2, 1/4, 0}:
     p = 0    the polar factor via the quintic (default) or cubic iteration,
              the cubic being O (O^T O)^(-1/2): one inverse square-root pass.
 
+Each of these five routes is one entry of the table that ``route`` reads:
+its kernel, default step budget and calibrated tolerance.
+
 All kernels internally work with at least as many rows as columns,
 transposing at entry and exit when needed.
 
@@ -57,12 +60,14 @@ before the BLAS call.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import dense
+from .calibration import REL_TOL_HALF, REL_TOL_POLAR_CUBIC, REL_TOL_QUARTER, REL_TOL_ZERO_QUINTIC
 from .dense import Matrix, frobenius_norm, gram
 from .errors import (
     DegenerateInputError,
@@ -333,52 +338,6 @@ def _inverse_root_core(
     return lane.wait(), alpha, residuals, updates
 
 
-# O (O^T O)^(-j/q) has singular values sigma^p for p = 1 - 2 j / q: the
-# root degree q and the power j of the inverse root, per exponent.
-_ROOTS = {SpectralExponent.HALF: (4, 1), SpectralExponent.QUARTER: (8, 3)}
-
-
-def spectral_transform(
-    o: Matrix,
-    exponent: SpectralExponent,
-    iters: int | None = None,
-    zero_method: str = "quintic",
-) -> tuple[Matrix, KernelDiagnostics]:
-    """Raise the singular values of ``o`` to the chosen power, SVD-free.
-
-    ``iters`` is the kernel's iteration count: steps of the one inverse-root
-    pass for p = 1/2 and 1/4 and the cubic p = 0, quintic steps for the
-    quintic; None picks the per-exponent default. ``zero_method`` selects the polar kernel
-    for the zero power: "quintic" (band around 1) or "cubic" (fully
-    converged polar). The identity power performs zero iterations.
-
-    p = 1/2 and 1/4 return O A^(-1/4) and O (A^(-1/8))^3 from one inverse-root
-    pass on the small-side Gram matrix A = O^T O. The default budget suits
-    condition numbers up to about 100; far stiffer spectra need more steps.
-    A residual that is non-finite or grows, or a non-finite output, raises
-    KernelDivergenceError.
-    """
-    a = _validate_input(o)
-    if exponent is SpectralExponent.ONE:
-        return a.copy(), KernelDiagnostics(0, 1.0, [])
-
-    if exponent is SpectralExponent.ZERO:
-        if zero_method not in ("quintic", "cubic"):
-            raise PreconditionError(f"unknown zero-power method {zero_method!r}")
-        try:
-            if zero_method == "quintic":
-                return polar_quintic(a, iters if iters is not None else DEFAULT_POLAR_ITERS)
-            return polar_cubic(a, iters if iters is not None else DEFAULT_CUBIC_ITERS)
-        except ToolkitError as exc:
-            raise tagged(exc, f"spectral transform p=0.0 method={zero_method}") from exc
-
-    try:
-        return _root_transform(a, *_ROOTS[exponent],
-                               iters if iters is not None else DEFAULT_ROOT_STEPS)
-    except ToolkitError as exc:
-        raise tagged(exc, f"spectral transform p={exponent.power}") from exc
-
-
 def _root_transform(a: np.ndarray, q: int, j: int, iters: int) -> tuple[Matrix, KernelDiagnostics]:
     """O (O^T O)^(-j/q) for a validated ``a``, on its smaller side.
 
@@ -408,3 +367,72 @@ def _root_transform(a: np.ndarray, q: int, j: int, iters: int) -> tuple[Matrix, 
         raise KernelDivergenceError(
             f"{label}: the root iterate overflowed after {updates} steps", diagnostics=diag)
     return (out.T.copy() if transposed else out), diag
+
+
+@dataclass(frozen=True)
+class Route:
+    """A spectral_transform route: the kernel, run on validated input with a
+    step budget, its default budget and its calibrated error bound against
+    the oracle (relative Frobenius)."""
+
+    kernel: Callable[[np.ndarray, int], tuple[Matrix, KernelDiagnostics]]
+    steps: int
+    rel_tol: float
+
+
+# Keyed by exponent and, for p = 0 only, the polar kernel's name.
+# O (O^T O)^(-j/q) has singular values sigma^p for p = 1 - 2 j / q: the
+# root degree q and the power j of the inverse root, per exponent.
+_ROUTES = {
+    (SpectralExponent.ONE, None): Route(
+        lambda a, steps: (a.copy(), KernelDiagnostics(0, 1.0, [])), 0, 0.0),
+    (SpectralExponent.HALF, None): Route(
+        lambda a, steps: _root_transform(a, 4, 1, steps), DEFAULT_ROOT_STEPS, REL_TOL_HALF),
+    (SpectralExponent.QUARTER, None): Route(
+        lambda a, steps: _root_transform(a, 8, 3, steps), DEFAULT_ROOT_STEPS, REL_TOL_QUARTER),
+    (SpectralExponent.ZERO, "quintic"): Route(
+        polar_quintic, DEFAULT_POLAR_ITERS, REL_TOL_ZERO_QUINTIC),
+    (SpectralExponent.ZERO, "cubic"): Route(polar_cubic, DEFAULT_CUBIC_ITERS, REL_TOL_POLAR_CUBIC),
+}
+
+ZERO_METHODS = tuple(method for _, method in _ROUTES if method is not None)
+
+
+def route(exponent: SpectralExponent, zero_method: str = "quintic") -> Route:
+    """The route of ``exponent``; ``zero_method`` picks one for p = 0 only."""
+    if exponent is not SpectralExponent.ZERO:
+        return _ROUTES[exponent, None]
+    if zero_method not in ZERO_METHODS:
+        raise PreconditionError(f"unknown zero-power method {zero_method!r}")
+    return _ROUTES[exponent, zero_method]
+
+
+def spectral_transform(
+    o: Matrix,
+    exponent: SpectralExponent,
+    iters: int | None = None,
+    zero_method: str = "quintic",
+) -> tuple[Matrix, KernelDiagnostics]:
+    """Raise the singular values of ``o`` to the chosen power, SVD-free.
+
+    Runs the kernel of ``route(exponent, zero_method)``. ``iters`` is its
+    step count: steps of the one inverse-root pass for p = 1/2 and 1/4 and
+    the cubic p = 0, quintic steps for the quintic; None picks the route's
+    default. ``zero_method`` selects the polar kernel for the zero power:
+    "quintic" (band around 1) or "cubic" (fully converged polar); other
+    powers ignore it. The identity power performs zero iterations.
+
+    p = 1/2 and 1/4 return O A^(-1/4) and O (A^(-1/8))^3 from one inverse-root
+    pass on the small-side Gram matrix A = O^T O. The default budget suits
+    condition numbers up to about 100; far stiffer spectra need more steps.
+    A residual that is non-finite or grows, or a non-finite output, raises
+    KernelDivergenceError. A kernel's error comes out led by its route:
+    ``spectral transform p=0.25: ...`` or ``... p=0.0 method=cubic: ...``.
+    """
+    a = _validate_input(o)
+    chosen = route(exponent, zero_method)
+    try:
+        return chosen.kernel(a, chosen.steps if iters is None else iters)
+    except ToolkitError as exc:
+        method = f" method={zero_method}" if exponent is SpectralExponent.ZERO else ""
+        raise tagged(exc, f"spectral transform p={exponent.power}{method}") from exc

@@ -107,6 +107,10 @@ def run_sweep(
 ) -> SweepReport:
     if not optimizers:
         raise ConfigError("sweep needs at least one optimizer")
+    # As in SweepPlan: a repeated optimizer would run every trial twice.
+    for i, kind in enumerate(optimizers):
+        if kind in optimizers[:i]:
+            raise ConfigError(f"sweep names optimizer {kind.describe()} twice")
     report = SweepReport()
     for kind in optimizers:
         trials: dict[float, TrialResult] = {}

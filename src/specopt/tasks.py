@@ -29,6 +29,7 @@ VOCAB_SIZE = 96  # newline plus printable ASCII 32..126
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_K = 0.044715
 _LOSS_BLOCK_ROWS = 512  # rows per forward pass when a loss covers a whole split
+_HOLDOUT_FRACTION = 0.1  # charlm's held-out share of positions
 
 
 def _gelu(x: np.ndarray, bufs=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,39 +85,33 @@ def seeded_rng(seed: int, stream: int) -> np.random.Generator:
 class MatrixRegression:
     """Planted bilinear least squares: minimize 0.5 ||A W B - C||_F^2 / rows.
 
-    A and B are fixed random maps, C is generated from a planted W plus
-    small noise, and W (32 x 24 by default) is the single, matrix-shaped
-    parameter. Rows of (A, C) are data points; the last ``eval_rows`` of
-    them form the held-out split. The closed-form least-squares optimum
-    exists and is what long runs should approach.
+    A (48 x 32) and B (24 x 16) are fixed random maps, C is generated from a
+    planted W plus noise of standard deviation 0.01, and W (32 x 24) is the
+    single, matrix-shaped parameter. Rows of (A, C) are data points; the
+    last 8 of the 48 form the held-out split. The closed-form least-squares
+    optimum exists and is what long runs should approach.
     """
 
     name = "matreg"
+    _DATA_ROWS = 48
+    _EVAL_ROWS = 8
+    _W_SHAPE = (32, 24)
+    _OUT_COLS = 16
+    _NOISE = 0.01
 
-    def __init__(
-        self,
-        seed: int,
-        data_rows: int = 48,
-        w_rows: int = 32,
-        w_cols: int = 24,
-        out_cols: int = 16,
-        eval_rows: int = 8,
-        noise: float = 0.01,
-    ):
-        if eval_rows >= data_rows:
-            raise ConfigError("eval_rows must leave at least one training row")
+    def __init__(self, seed: int):
+        w_rows, w_cols = self._W_SHAPE
         rng = seeded_rng(seed, 0)
-        self.a_map = rng.standard_normal((data_rows, w_rows)) / np.sqrt(w_rows)
-        self.b_map = rng.standard_normal((w_cols, out_cols)) / np.sqrt(w_cols)
-        w_star = rng.standard_normal((w_rows, w_cols))
+        self.a_map = rng.standard_normal((self._DATA_ROWS, w_rows)) / np.sqrt(w_rows)
+        self.b_map = rng.standard_normal((w_cols, self._OUT_COLS)) / np.sqrt(w_cols)
+        w_star = rng.standard_normal(self._W_SHAPE)
         self.targets = self.a_map @ w_star @ self.b_map
-        self.targets += noise * rng.standard_normal(self.targets.shape)
-        self.num_train = data_rows - eval_rows
-        self._shape = (w_rows, w_cols)
+        self.targets += self._NOISE * rng.standard_normal(self.targets.shape)
+        self.num_train = self._DATA_ROWS - self._EVAL_ROWS
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         del rng  # the zero start is part of the task definition
-        return {"W": np.zeros(self._shape)}
+        return {"W": np.zeros(self._W_SHAPE)}
 
     def _loss_grad_rows(self, params, rows):
         w = params["W"]
@@ -156,7 +151,6 @@ class CharMlp:
         context: int = 8,
         emb_dim: int = 16,
         hidden: int = 128,
-        holdout_fraction: float = 0.1,
     ):
         text = corpus_text if corpus_text is not None else builtin_corpus()
         self.data = encode_text(text)
@@ -167,7 +161,7 @@ class CharMlp:
         if total < 20:
             raise ConfigError(f"corpus too short: only {total} usable positions")
         positions = seeded_rng(seed, 0).permutation(total)
-        n_eval = max(1, int(round(total * holdout_fraction)))
+        n_eval = max(1, int(round(total * _HOLDOUT_FRACTION)))
         self._eval_positions = positions[:n_eval]
         self._train_positions = positions[n_eval:]
         self.num_train = self._train_positions.shape[0]

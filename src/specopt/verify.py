@@ -29,6 +29,7 @@ from .kernels import (
     SpectralExponent,
     coupled_ns_quarter,
     coupled_ns_sqrt,
+    route,
     spectral_transform,
 )
 from .optim import (
@@ -138,30 +139,21 @@ def check_kernels_vs_oracle(
     rng: np.random.Generator, draws: int, iters: int | None = None
 ) -> str:
     """03: the half and quarter transforms and the cubic polar factor against the oracle."""
-    worst_half = worst_quarter = worst_polar = 0.0
+    routes = ((SpectralExponent.HALF, "quintic"), (SpectralExponent.QUARTER, "quintic"),
+              (SpectralExponent.ZERO, "cubic"))
+    worst = [0.0] * len(routes)
     for _ in range(draws):
         rows = int(rng.integers(8, 65))
         cols = int(rng.integers(8, 49))
         cond = float(10.0 ** rng.uniform(0.0, 2.0))
         m = spectrum_matrix(rng, rows, cols, cond)
-
-        half, _ = spectral_transform(m, SpectralExponent.HALF, iters)
-        want = spectral_power_exact(m, 0.5)
-        worst_half = max(worst_half, frobenius_norm(half - want) / frobenius_norm(want))
-
-        quarter, _ = spectral_transform(m, SpectralExponent.QUARTER, iters)
-        want = spectral_power_exact(m, 0.25)
-        worst_quarter = max(worst_quarter, frobenius_norm(quarter - want) / frobenius_norm(want))
-
-        polar, _ = spectral_transform(m, SpectralExponent.ZERO, iters, zero_method="cubic")
-        tr = jacobi_svd(m)
-        want = tr.u @ tr.v.T
-        worst_polar = max(worst_polar, frobenius_norm(polar - want) / frobenius_norm(want))
+        for i, (exponent, method) in enumerate(routes):
+            got, _ = spectral_transform(m, exponent, iters, zero_method=method)
+            want = spectral_power_exact(m, exponent.power)
+            worst[i] = max(worst[i], frobenius_norm(got - want) / frobenius_norm(want))
     return _require(
-        worst_half <= calibration.REL_TOL_HALF
-        and worst_quarter <= calibration.REL_TOL_QUARTER
-        and worst_polar <= calibration.REL_TOL_POLAR_CUBIC,
-        f"half {worst_half:.2e} quarter {worst_quarter:.2e} polar {worst_polar:.2e}",
+        all(w <= route(*r).rel_tol for w, r in zip(worst, routes)),
+        "half {:.2e} quarter {:.2e} polar {:.2e}".format(*worst),
     )
 
 

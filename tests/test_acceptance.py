@@ -32,6 +32,7 @@ def test_frozen_tolerances_keep_their_calibrated_values():
     assert calibration.REL_TOL_HALF == 1e-3
     assert calibration.REL_TOL_QUARTER == 1e-3
     assert calibration.REL_TOL_POLAR_CUBIC == 1e-6
+    assert calibration.REL_TOL_ZERO_QUINTIC == 0.45
     assert calibration.QUINTIC_SV_BAND == (0.65, 1.21)
 
 

@@ -209,7 +209,7 @@ def test_transform_ns_matches_oracle_within_published_tolerance(tmp_path):
     a = rng.standard_normal((8, 6))
     src = tmp_path / "in.mat"
     write_matrix(src, a)
-    for p, extra in (("0.5", []), ("0.25", []), ("0", ["--zero-method", "cubic"])):
+    for p, extra in (("0.5", []), ("0.25", []), ("0", []), ("0", ["--zero-method", "cubic"])):
         ns_out = tmp_path / f"ns{p}.mat"
         or_out = tmp_path / f"or{p}.mat"
         assert main(["transform", str(src), str(ns_out), "--p", p] + extra) == EXIT_OK
@@ -219,7 +219,7 @@ def test_transform_ns_matches_oracle_within_published_tolerance(tmp_path):
         got = read_matrix(ns_out)
         want = read_matrix(or_out)
         rel = np.linalg.norm(got - want) / np.linalg.norm(want)
-        assert rel <= sidecar["calibrated_rel_tol"], p
+        assert rel <= sidecar["calibrated_rel_tol"], (p, extra)
         assert sidecar["iterations"] > 0
 
 
@@ -464,6 +464,16 @@ def test_sweep_repeated_lr_or_factor_exits_two(tmp_path, capsys):
         assert code == EXIT_USER_ERROR, override
         assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_sweep_repeated_optimizer_exits_two(tmp_path, capsys):
+    # muon is msgdz: naming both would run every trial twice.
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    code = main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "o"),
+                 "--set", "optimizers=msgdz,muon"])
+    assert code == EXIT_USER_ERROR
+    assert "sweep names optimizer msgdz (muon) twice" in capsys.readouterr().err
+    assert not list((tmp_path / "o").rglob("trials.jsonl"))
 
 
 def test_sweep_requires_lr_grid(tmp_path, capsys):

@@ -226,14 +226,12 @@ def test_inline_and_helper_lanes_give_the_same_bits():
     assert products[0].tobytes() == products[1].tobytes() == serial.tobytes()
 
 
-def test_as_matrix_reshape_and_validation():
-    a = as_matrix([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], rows=2, cols=3)
+def test_as_matrix_validation():
+    a = as_matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     assert a.shape == (2, 3)
     assert a.dtype == np.float64
     with pytest.raises(ShapeError):
-        as_matrix([1.0, 2.0, 3.0], rows=2, cols=2)
-    with pytest.raises(ShapeError):
-        as_matrix([1.0, 2.0, 3.0])  # 1-D without a target shape
+        as_matrix([1.0, 2.0, 3.0])  # 1-D
     with pytest.raises(NonFiniteError):
         as_matrix([[1.0, np.nan]])
     with pytest.raises(NonFiniteError):

@@ -1,5 +1,6 @@
 """Multiplication-only kernels checked against the exact oracle."""
 
+import json
 import threading
 
 import numpy as np
@@ -11,7 +12,10 @@ from specopt.calibration import (
     REL_TOL_HALF,
     REL_TOL_POLAR_CUBIC,
     REL_TOL_QUARTER,
+    REL_TOL_ZERO_QUINTIC,
 )
+from specopt.cli import main
+from specopt.dense import write_matrix
 from specopt.errors import (
     DegenerateInputError,
     KernelDivergenceError,
@@ -20,6 +24,8 @@ from specopt.errors import (
     ShapeError,
 )
 from specopt.kernels import (
+    DEFAULT_CUBIC_ITERS,
+    DEFAULT_POLAR_ITERS,
     DEFAULT_ROOT_STEPS,
     QUINTIC_COEFFICIENTS,
     SpectralExponent,
@@ -334,6 +340,40 @@ def test_transform_failures_name_their_power():
 # Every power that runs the inverse-root pass on the Gram matrix.
 _GRAM_ROUTES = ((SpectralExponent.HALF, "quintic"), (SpectralExponent.QUARTER, "quintic"),
                 (SpectralExponent.ZERO, "cubic"))
+
+
+# Every route of the table, with the default budget and calibrated tolerance
+# it must carry.
+_ROUTES = (
+    (SpectralExponent.ONE, "quintic", 0, 0.0),
+    (SpectralExponent.HALF, "quintic", DEFAULT_ROOT_STEPS, REL_TOL_HALF),
+    (SpectralExponent.QUARTER, "quintic", DEFAULT_ROOT_STEPS, REL_TOL_QUARTER),
+    (SpectralExponent.ZERO, "quintic", DEFAULT_POLAR_ITERS, REL_TOL_ZERO_QUINTIC),
+    (SpectralExponent.ZERO, "cubic", DEFAULT_CUBIC_ITERS, REL_TOL_POLAR_CUBIC),
+)
+
+
+@pytest.mark.parametrize("exponent,method,steps,tol", _ROUTES,
+                         ids=("one", "half", "quarter", "quintic", "cubic"))
+def test_route_table_is_what_transform_and_its_sidecar_use(tmp_path, exponent, method, steps, tol):
+    chosen = kernels.route(exponent, method)
+    assert (chosen.steps, chosen.rel_tol) == (steps, tol)
+    a = spectrum_matrix(np.random.default_rng(0), 12, 8, 10.0)
+    out, diag = spectral_transform(a, exponent, zero_method=method)
+    pinned, pinned_diag = spectral_transform(a, exponent, iters=steps, zero_method=method)
+    assert out.tobytes() == pinned.tobytes() and diag == pinned_diag
+    src, dst = tmp_path / "in.mat", tmp_path / "out.mat"
+    write_matrix(src, a)
+    assert main(["transform", str(src), str(dst), "--p", exponent.value,
+                 "--zero-method", method]) == 0
+    assert json.loads((tmp_path / "out.mat.diag.json").read_text())["calibrated_rel_tol"] == tol
+    if exponent is SpectralExponent.ZERO:  # spectral_transform's raise: test_transform_zero_methods
+        with pytest.raises(PreconditionError, match="unknown zero-power method"):
+            kernels.route(exponent, "householder")
+    else:  # a non-zero power ignores the p = 0 method, whatever it names
+        assert kernels.route(exponent, "householder") is chosen
+        ignored, _ = spectral_transform(a, exponent, zero_method="householder")
+        assert ignored.tobytes() == out.tobytes()
 
 
 def test_transform_names_an_overflowed_gram():

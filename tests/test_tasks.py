@@ -72,8 +72,6 @@ def test_matreg_split_sizes():
     task = MatrixRegression(seed=0)
     assert task.num_train == 40
     assert task.targets.shape == (48, 16)
-    with pytest.raises(ConfigError):
-        MatrixRegression(seed=0, data_rows=8, eval_rows=8)
 
 
 def test_matreg_is_deterministic_per_seed():
