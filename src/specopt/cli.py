@@ -235,14 +235,14 @@ def cmd_verify(args) -> int:
 def cmd_train(args) -> int:
     cfg = build_train_config(_resolved_mapping(args), args.seed)
     digest = config_digest(cfg)
-    run_dir = _out_dir(args, digest)
-    (run_dir / "resolved.cfg").write_text(canonical_config_text(cfg), encoding="ascii")
-
     label = cfg.optimizer.describe()
     print(f"optimizer: {label}")
     print(f"task: {cfg.task}")
     print(f"digest: {digest}")
+    # The run validates its inputs: a rejected config leaves no directory.
     record = run_training(cfg)
+    run_dir = _out_dir(args, digest)
+    (run_dir / "resolved.cfg").write_text(canonical_config_text(cfg), encoding="ascii")
     (run_dir / "run.csv").write_text(record.to_csv(optimizer_label=label), encoding="ascii")
     print(f"outcome: {record.outcome}")
     print(f"final eval loss: {record.final_eval_loss!r}")
@@ -257,12 +257,12 @@ def cmd_sweep(args) -> int:
     base_cfg, plan, optimizers = build_sweep_inputs(_resolved_mapping(args), args.seed)
     text = sweep_canonical_text(base_cfg, plan, optimizers)
     digest = text_digest(text)
-    run_dir = _out_dir(args, digest)
-    (run_dir / "resolved.cfg").write_text(text, encoding="ascii")
     print(f"digest: {digest}")
     print(f"optimizers: {', '.join(k.describe() for k in optimizers)}")
 
     report = run_sweep(base_cfg, plan, optimizers)
+    run_dir = _out_dir(args, digest)
+    (run_dir / "resolved.cfg").write_text(text, encoding="ascii")
 
     lines = []
     for trial in report.trials:

@@ -8,9 +8,9 @@ SVD. The two building blocks are
   exactly 1, which is the expected behaviour of its coefficients),
 * a coupled Newton iteration for the inverse q-th root of a symmetric
   positive definite matrix (Guo & Higham 2006), q in {2, 4, 8}. One pass
-  gives the cubic polar factor (q = 2 on the Gram matrix), the square root
-  and its inverse (q = 2), the quarter root and its inverse (q = 4), and
-  the fractional powers below.
+  gives the cubic polar factor (q = 2 on the Gram matrix), ``coupled_root``'s
+  square or quarter root and its inverse (q = 2 or 4), and the fractional
+  powers below.
 
 The assembled ``spectral_transform`` keeps a matrix's singular vectors and
 raises its singular values to a power in {1, 1/2, 1/4, 0}:
@@ -39,8 +39,8 @@ Matmul counts, with n x n products on the small side n:
                               (_inverse_root_core)
     cubic polar               a q = 2 pass plus the Gram and output
                               products: 3k + 1
-    square root               a q = 2 pass plus A X: 3k
-    quarter root              a q = 4 pass, two products for X^3 and
+    coupled_root, q = 2       a q = 2 pass plus A X: 3k
+    coupled_root, q = 4       a q = 4 pass, two products for X^3 and
                               A X^3: 4k + 2
     p = 1/2                   a q = 4 pass plus the Gram and output
                               products: 4k + 1
@@ -128,14 +128,15 @@ class SpectralExponent(Enum):
 
 @dataclass
 class KernelDiagnostics:
-    """Run log of one kernel invocation.
+    """Run log of one kernel invocation: the kernel opens it at its first
+    step, and every exit, a raise included, hands out that one record.
 
     scale_alpha is the Frobenius normalizer, the divisor of the kernel's
-    first iterate: of the input for the quintic and for the square and
-    quarter roots, of the Gram matrix O^T O for the cubic polar and
-    p = 1/2 and 1/4. residual_per_iter holds one entry per step
-    actually performed: ||M_k - I||_F for the inverse-root pass and the
-    orthogonality defect ||P_k^T P_k - I||_F for the quintic.
+    first iterate: of the input for the quintic and for coupled_root, of
+    the Gram matrix O^T O for the cubic polar and p = 1/2 and 1/4.
+    residual_per_iter holds one entry per step actually performed:
+    ||M_k - I||_F for the inverse-root pass and the orthogonality defect
+    ||P_k^T P_k - I||_F for the quintic.
     """
 
     iterations_run: int
@@ -175,14 +176,13 @@ def polar_quintic(m: Matrix, iters: int = DEFAULT_POLAR_ITERS) -> tuple[Matrix, 
     eye = np.eye(n)
     qa, qb, qc = QUINTIC_COEFFICIENTS
     a_eye = qa * eye
-    residuals: list[float] = []
+    diag = KernelDiagnostics(0, alpha, [])
     b = z.T.dot(z)
-    for k in range(1, iters + 1):
+    for _ in range(iters):
         # Z Z^T Z = Z (Z^T Z) keeps every product on the small side.
         z = z.dot(a_eye + qb * b + qc * b.dot(b))
         b = z.T.dot(z)
-        _residual(b, eye, "quintic", k, alpha, residuals)
-    diag = KernelDiagnostics(iters, alpha, residuals)
+        _residual(b, eye, "quintic", diag)
     return (z.T.copy() if transposed else z), diag
 
 
@@ -211,29 +211,52 @@ def polar_cubic(m: Matrix, iters: int = DEFAULT_CUBIC_ITERS) -> tuple[Matrix, Ke
     return out, diag
 
 
-def _residual(
-    prod: np.ndarray, eye: np.ndarray, label: str, updates: int, alpha: float,
-    residuals: list[float],
-) -> float:
-    """Append ||prod - I||_F, evaluated exactly as np.linalg.norm evaluates it.
+def _residual(prod: np.ndarray, eye: np.ndarray, label: str, diag: KernelDiagnostics) -> float:
+    """Count a step in ``diag`` and append ||prod - I||_F, as np.linalg.norm
+    evaluates it.
 
     prod is a product of the current iterates (Z^T Z, or M), and a
     non-finite iterate always makes it non-finite, so this check stands in
-    for scanning the iterates after every update.
+    for scanning the iterates after every update. A non-finite residual
+    raises with the step counted and the residual left out.
     """
+    diag.iterations_run += 1
     d = (prod - eye).ravel()
     res = math.sqrt(d.dot(d))
     if not math.isfinite(res):
         raise KernelDivergenceError(
-            f"{label} iteration {updates} produced non-finite values",
-            diagnostics=KernelDiagnostics(updates, alpha, residuals),
+            f"{label} iteration {diag.iterations_run} produced non-finite values",
+            diagnostics=diag,
         )
-    residuals.append(res)
+    diag.residual_per_iter.append(res)
     return res
 
 
-def _symmetric_input(x: Matrix, what: str, iters: int, label: str) -> np.ndarray:
-    """Validate a square root's input and return it exactly symmetrized."""
+def _power(x: np.ndarray, j: int) -> np.ndarray:
+    """x^j for j >= 1, multiplied left to right."""
+    xj = x
+    for _ in range(j - 1):
+        xj = xj.dot(x)
+    return xj
+
+
+_COUPLED_ROOTS = {2: ("square root", "coupled sqrt"), 4: ("quarter root", "coupled quarter")}
+
+
+def coupled_root(
+    x: Matrix, q: int, iters: int = DEFAULT_ROOT_STEPS
+) -> tuple[Matrix, Matrix, KernelDiagnostics]:
+    """q-th root and inverse q-th root from one inverse-root pass, q in {2, 4}.
+
+    Input must be symmetric positive definite. Returns (X^(1/q), X^(-1/q),
+    diagnostics): Z = X^(-1/q) from the pass and X Z^(q-1) for the root, so
+    the pair satisfies the reconstruction identities within iteration
+    accuracy. Semi-definite input does not blow up at the default budget,
+    but the inverse factor is only meaningful on the range of X.
+    """
+    if q not in _COUPLED_ROOTS:
+        raise PreconditionError(f"coupled root degree must be 2 or 4, got {q!r}")
+    what, label = _COUPLED_ROOTS[q]
     a = _validate_input(x)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} needs a square matrix, got {a.shape}")
@@ -241,38 +264,10 @@ def _symmetric_input(x: Matrix, what: str, iters: int, label: str) -> np.ndarray
         raise PreconditionError(f"iteration count must be >= 1, got {iters}")
     if frobenius_norm(a - a.T) > _SYMMETRY_RTOL * frobenius_norm(a):
         raise PreconditionError(f"{label}: input is not symmetric within tolerance")
-    return 0.5 * (a + a.T)
-
-
-def coupled_ns_sqrt(
-    x: Matrix, iters: int = DEFAULT_ROOT_STEPS
-) -> tuple[Matrix, Matrix, KernelDiagnostics]:
-    """Square root and inverse square root from one inverse-root pass, q = 2.
-
-    Input must be symmetric positive definite. Returns (X^(1/2), X^(-1/2),
-    diagnostics): Z = X^(-1/2) from the pass and X Z for the root, so the
-    pair satisfies the reconstruction identities within iteration accuracy.
-    Semi-definite input does not blow up at the default budget, but the
-    inverse factor is only meaningful on the range of X.
-    """
-    a = _symmetric_input(x, "square root", iters, "coupled sqrt")
-    z, alpha, residuals, updates = _inverse_root_core(a, 2, iters, "coupled sqrt")
-    z = z * alpha ** -0.5
-    return a.dot(z), z, KernelDiagnostics(updates, alpha, residuals)
-
-
-def coupled_ns_quarter(
-    x: Matrix, iters: int = DEFAULT_ROOT_STEPS
-) -> tuple[Matrix, Matrix, KernelDiagnostics]:
-    """Quarter root and inverse quarter root from one inverse-root pass, q = 4.
-
-    Input must be symmetric positive definite. Returns (X^(1/4), X^(-1/4),
-    diagnostics): Z = X^(-1/4) from the pass and X Z^3 for the root.
-    """
-    a = _symmetric_input(x, "quarter root", iters, "coupled quarter")
-    z, alpha, residuals, updates = _inverse_root_core(a, 4, iters, "coupled quarter")
-    z = z * alpha ** -0.25
-    return a.dot(z.dot(z).dot(z)), z, KernelDiagnostics(updates, alpha, residuals)
+    a = 0.5 * (a + a.T)
+    z, diag = _inverse_root_core(a, q, iters, label)
+    z = z * diag.scale_alpha ** (-1 / q)
+    return a.dot(_power(z, q - 1)), z, diag
 
 
 # Gram side from which X = T_1 ... T_K goes to a helper thread: below it the
@@ -284,15 +279,16 @@ _LANE_MIN_SIDE = 128
 
 def _inverse_root_core(
     a: np.ndarray, q: int, iters: int, label: str
-) -> tuple[np.ndarray, float, list[float], int]:
+) -> tuple[np.ndarray, KernelDiagnostics]:
     """One coupled Newton pass for the inverse q-th root, q in {2, 4, 8}.
 
     Callers pass an exactly symmetric ``a`` and ``iters >= 1``. With
     M_0 = a / alpha, alpha = ||a||_F, each step takes T = ((q + 1) I - M) / q,
     then X <- X T (X_1 = T) and M <- T^q M, T^q by repeated squaring, so
     M_k = X_k^q M_0 tends to I and X_k to M_0^(-1/q) (Guo & Higham 2006).
-    Returns X_K, alpha, the history of ||M_k - I||_F and the number of
-    steps; a^(-1/q) is X_K alpha^(-1/q). k steps cost (log2(q) + 2) k - 1
+    Returns X_K and the call's one record, which every exit hands out:
+    alpha, the number of steps and the history of ||M_k - I||_F;
+    a^(-1/q) is X_K alpha^(-1/q). k steps cost (log2(q) + 2) k - 1
     matmuls: X_1 = T saves one.
 
     The M chain never reads X, so from _LANE_MIN_SIDE wide, when another
@@ -308,8 +304,7 @@ def _inverse_root_core(
     eye_q1 = (q + 1) * eye
     squarings = q.bit_length() - 1
     m = a / alpha
-    updates = 0
-    residuals: list[float] = []
+    diag = KernelDiagnostics(0, alpha, [])
     x = None
 
     def fold(t):
@@ -325,17 +320,14 @@ def _inverse_root_core(
             for _ in range(squarings):
                 tq = tq.dot(tq)
             m = tq.dot(m)
-            updates += 1
-            res = _residual(m, eye, label, updates, alpha, residuals)
-            if updates >= iters or res <= _COUPLED_EXIT:
+            res = _residual(m, eye, label, diag)
+            if diag.iterations_run >= iters or res <= _COUPLED_EXIT:
                 break
             # The spectrum of M stays in (0, 1]; growth means blow-up.
-            if res > residuals[0] * 2.0 + 10.0:
+            if res > diag.residual_per_iter[0] * 2.0 + 10.0:
                 raise KernelDivergenceError(
-                    f"{label}: residual grew to {res:.3e}",
-                    diagnostics=KernelDiagnostics(updates, alpha, residuals),
-                )
-    return lane.wait(), alpha, residuals, updates
+                    f"{label}: residual grew to {res:.3e}", diagnostics=diag)
+    return lane.wait(), diag
 
 
 def _root_transform(a: np.ndarray, q: int, j: int, iters: int) -> tuple[Matrix, KernelDiagnostics]:
@@ -357,15 +349,12 @@ def _root_transform(a: np.ndarray, q: int, j: int, iters: int) -> tuple[Matrix, 
         if not np.isfinite(g).all():
             raise NonFiniteError("Gram matrix overflowed: input entries are too large to square")
         label = f"inverse {'square' if q == 2 else f'{q}th'} root"
-        x, alpha, residuals, updates = _inverse_root_core(g, q, iters, label)
-        xj = x
-        for _ in range(j - 1):
-            xj = xj.dot(x)
-        out = work.dot(xj * alpha ** (-j / q))
-    diag = KernelDiagnostics(updates, alpha, residuals)
+        x, diag = _inverse_root_core(g, q, iters, label)
+        out = work.dot(_power(x, j) * diag.scale_alpha ** (-j / q))
     if not np.isfinite(out).all():
         raise KernelDivergenceError(
-            f"{label}: the root iterate overflowed after {updates} steps", diagnostics=diag)
+            f"{label}: the root iterate overflowed after {diag.iterations_run} steps",
+            diagnostics=diag)
     return (out.T.copy() if transposed else out), diag
 
 

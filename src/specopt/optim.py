@@ -230,6 +230,5 @@ def step_vector_param(
             + (f" for parameter {param_name!r}" if param_name else "")
         )
     new_state = update_moments(state, g, hp, need_v=True, param_name=param_name)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = new_state.m / (np.sqrt(new_state.v) + hp.eps)
+    delta = make_input(new_state, InputKind.RMS_NORMALIZED, hp)
     return w - hp.lr_vec * delta, new_state

@@ -27,8 +27,7 @@ from .errors import ConfigError, ToolkitError
 from .kernels import (
     DEFAULT_ROOT_STEPS,
     SpectralExponent,
-    coupled_ns_quarter,
-    coupled_ns_sqrt,
+    coupled_root,
     route,
     spectral_transform,
 )
@@ -192,10 +191,10 @@ def check_coupled_identities(
         n = int(rng.integers(4, 65))
         cond = float(10.0 ** rng.uniform(0.0, 2.0))
         x = random_spd(rng, n, cond)
-        y, z, _ = coupled_ns_sqrt(x, steps)
+        y, z, _ = coupled_root(x, 2, steps)
         worst_sqrt = max(worst_sqrt, frobenius_norm(y @ y - x) / frobenius_norm(x))
         worst_inv = max(worst_inv, frobenius_norm(z @ y - np.eye(n)) / math.sqrt(n))
-        q, _, _ = coupled_ns_quarter(x, steps)
+        q, _, _ = coupled_root(x, 4, steps)
         worst_quarter = max(worst_quarter, frobenius_norm(q @ q @ q @ q - x) / frobenius_norm(x))
     tol = calibration.COUPLED_IDENTITY_TOL
     return _require(

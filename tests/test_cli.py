@@ -476,6 +476,21 @@ def test_sweep_repeated_optimizer_exits_two(tmp_path, capsys):
     assert not list((tmp_path / "o").rglob("trials.jsonl"))
 
 
+@pytest.mark.parametrize("command,overrides,message", [
+    ("train", ["task=foo"], "unknown task 'foo'"),
+    ("train", ["task=charlm", "corpus={missing}"], "No such file or directory"),
+    ("sweep", ["optimizers=msgdz,muon"], "names optimizer msgdz (muon) twice"),
+])
+def test_rejected_config_leaves_no_run_directory(tmp_path, capsys, command, overrides, message):
+    cfg = write_cfg(tmp_path, TRAIN_CFG if command == "train" else SWEEP_CFG)
+    sets = [arg for text in overrides
+            for arg in ("--set", text.format(missing=tmp_path / "missing.txt"))]
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out-dir", str(out), *sets]) == EXIT_USER_ERROR
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_requires_lr_grid(tmp_path, capsys):
     code = main(["sweep", "--set", "task=matreg",
                  "--out-dir", str(tmp_path / "o")])

@@ -29,8 +29,7 @@ from specopt.kernels import (
     DEFAULT_ROOT_STEPS,
     QUINTIC_COEFFICIENTS,
     SpectralExponent,
-    coupled_ns_quarter,
-    coupled_ns_sqrt,
+    coupled_root,
     polar_cubic,
     polar_quintic,
     spectral_transform,
@@ -171,27 +170,38 @@ def test_cubic_rejects_rank_deficiency_and_zero():
         polar_cubic(np.zeros((4, 4)))
 
 
-# --- coupled square root --------------------------------------------------
+# --- coupled square and quarter roots ---------------------------------------
 
 
 def test_coupled_sqrt_identity_converges():
-    root, inv_root, _ = coupled_ns_sqrt(np.eye(5))
+    root, inv_root, diag = coupled_root(np.eye(5), 2)
     assert np.linalg.norm(root - np.eye(5)) <= 1e-6
     assert np.linalg.norm(inv_root - np.eye(5)) <= 1e-6
+    assert diag.scale_alpha == np.linalg.norm(np.eye(5))
 
 
 def test_coupled_sqrt_diagonal():
-    root, inv_root, _ = coupled_ns_sqrt(np.diag([4.0, 1.0]))
+    root, inv_root, _ = coupled_root(np.diag([4.0, 1.0]), 2)
     assert np.allclose(root, np.diag([2.0, 1.0]), atol=1e-8)
     assert np.allclose(inv_root, np.diag([0.5, 1.0]), atol=1e-8)
 
 
-def test_coupled_sqrt_reconstruction():
-    rng = np.random.default_rng(5)
-    x = random_spd(rng, 8, 50.0)
-    root, inv_root, diag = coupled_ns_sqrt(x)
+def test_coupled_quarter_identity_and_diagonal():
+    root, inv_root, diag = coupled_root(np.eye(3), 4)
+    assert np.linalg.norm(root - np.eye(3)) <= 1e-6
+    assert np.linalg.norm(inv_root - np.eye(3)) <= 1e-6
+    assert diag.scale_alpha == np.linalg.norm(np.eye(3))
+    root, inv_root, _ = coupled_root(np.diag([16.0, 1.0]), 4)
+    assert np.allclose(root, np.diag([2.0, 1.0]), atol=1e-8)
+    assert np.allclose(inv_root, np.diag([0.5, 1.0]), atol=1e-8)
+
+
+@pytest.mark.parametrize("q,seed,cond", [(2, 5, 50.0), (4, 7, 20.0)])
+def test_coupled_root_reconstruction(q, seed, cond):
+    x = random_spd(np.random.default_rng(seed), 8, cond)
+    root, inv_root, diag = coupled_root(x, q)
     assert np.linalg.norm(root @ inv_root - np.eye(8)) <= 1e-7
-    assert np.linalg.norm(root @ root - x) <= 1e-7 * np.linalg.norm(x)
+    assert np.linalg.norm(np.linalg.matrix_power(root, q) - x) <= 1e-7 * np.linalg.norm(x)
     assert diag.scale_alpha == np.linalg.norm(x)
 
 
@@ -200,7 +210,7 @@ def test_coupled_sqrt_residual_contraction():
     # order (constant C = 1 for this iteration) once below one half
     rng = np.random.default_rng(6)
     x = random_spd(rng, 10, 30.0)
-    _, _, diag = coupled_ns_sqrt(x)
+    _, _, diag = coupled_root(x, 2)
     res = diag.residual_per_iter
     for a, b in zip(res[1:], res[2:]):
         assert b <= a + 1e-13
@@ -210,36 +220,29 @@ def test_coupled_sqrt_residual_contraction():
 
 
 def test_coupled_sqrt_preconditions():
-    with pytest.raises(ShapeError):
-        coupled_ns_sqrt(np.zeros((2, 3)))
     with pytest.raises(PreconditionError):
-        coupled_ns_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(PreconditionError):
-        coupled_ns_sqrt(np.eye(3), iters=0)
+        coupled_root(np.eye(3), 2, iters=0)
     with pytest.raises(NonFiniteError):
-        coupled_ns_sqrt(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        coupled_root(np.array([[np.nan, 0.0], [0.0, 1.0]]), 2)
 
 
-# --- coupled quarter root -------------------------------------------------
+@pytest.mark.parametrize("q,what,label", [(2, "square root", "coupled sqrt"),
+                                          (4, "quarter root", "coupled quarter")],
+                         ids=["q2", "q4"])
+def test_coupled_root_errors_name_the_root(q, what, label):
+    with pytest.raises(ShapeError, match=f"^{what} needs a square matrix, got \\(2, 3\\)$"):
+        coupled_root(np.zeros((2, 3)), q)
+    with pytest.raises(PreconditionError,
+                       match=f"^{label}: input is not symmetric within tolerance$"):
+        coupled_root(np.array([[1.0, 0.5], [0.0, 1.0]]), q)
+    with pytest.raises(KernelDivergenceError, match=f"^{label}: residual grew to "):
+        coupled_root(np.diag([1.0, -1.0]), q)
 
 
-def test_coupled_quarter_identity_and_diagonal():
-    q, iq, diag = coupled_ns_quarter(np.eye(3))
-    assert np.linalg.norm(q - np.eye(3)) <= 1e-6
-    assert np.linalg.norm(iq - np.eye(3)) <= 1e-6
-    assert diag.scale_alpha == np.linalg.norm(np.eye(3))
-    q, iq, _ = coupled_ns_quarter(np.diag([16.0, 1.0]))
-    assert np.allclose(q, np.diag([2.0, 1.0]), atol=1e-6)
-    assert np.allclose(iq, np.diag([0.5, 1.0]), atol=1e-6)
-
-
-def test_coupled_quarter_reconstruction():
-    rng = np.random.default_rng(7)
-    x = random_spd(rng, 8, 20.0)
-    q, iq, _ = coupled_ns_quarter(x)
-    fourth = q @ q @ q @ q
-    assert np.linalg.norm(fourth - x) <= 1e-6 * np.linalg.norm(x)
-    assert np.linalg.norm(q @ iq - np.eye(8)) <= 1e-7
+@pytest.mark.parametrize("q", [3, 8])
+def test_coupled_root_takes_only_degrees_two_and_four(q):
+    with pytest.raises(PreconditionError, match="degree must be 2 or 4"):
+        coupled_root(np.eye(3), q)
 
 
 # --- assembled transform --------------------------------------------------
@@ -473,7 +476,7 @@ def test_transform_reports_an_overflowed_root_iterate():
 
 
 def test_coupled_sqrt_normalizes_past_the_float_range():
-    y, z, diag = coupled_ns_sqrt(np.diag([1e300, 1.0]), iters=1000)
+    y, z, diag = coupled_root(np.diag([1e300, 1.0]), 2, iters=1000)
     assert diag.scale_alpha == 1e300
     assert diag.residual_per_iter[-1] < 1e-14
     assert np.allclose(y, np.diag([1e150, 1.0]), rtol=1e-14, atol=0.0)
@@ -607,10 +610,20 @@ def _assert_textbook_bits(p, method, reference):
 ])
 def test_coupled_divergence_reports_are_pinned(x, updates, residuals):
     with pytest.raises(KernelDivergenceError, match="residual grew") as info:
-        coupled_ns_sqrt(x)
+        coupled_root(x, 2)
     diag = info.value.diagnostics
     assert diag.iterations_run == updates
     assert diag.residual_per_iter == residuals
+
+
+def test_a_non_finite_residual_counts_its_step_but_not_its_residual():
+    nan = np.full((2, 2), np.nan)
+    with np.errstate(invalid="ignore"), pytest.raises(KernelDivergenceError) as info:
+        kernels._inverse_root_core(nan, 4, 10, "inverse 4th root")
+    assert str(info.value) == "inverse 4th root iteration 1 produced non-finite values"
+    diag = info.value.diagnostics
+    assert diag.iterations_run == 1
+    assert diag.residual_per_iter == []
 
 
 # --- the helper lane of the inverse-root pass --------------------------------
