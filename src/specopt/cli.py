@@ -176,8 +176,18 @@ def _resolved_mapping(args) -> dict[str, str]:
     return mapping
 
 
-def _out_dir(args, digest: str) -> Path:
+def _out_base(args) -> Path:
+    """The out-dir root, checked before a run and left uncreated: it and its
+    nearest existing ancestor must be directories, so a run never ends in
+    an unwritable path."""
     base = Path(args.out_dir) if args.out_dir else Path("runs")
+    existing = next(path for path in (base, *base.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"out-dir {str(base)!r}: {str(existing)!r} is not a directory")
+    return base
+
+
+def _run_dir(base: Path, digest: str) -> Path:
     run_dir = base / digest[:12]
     run_dir.mkdir(parents=True, exist_ok=True)
     return run_dir
@@ -234,6 +244,7 @@ def cmd_verify(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_train_config(_resolved_mapping(args), args.seed)
+    base = _out_base(args)
     digest = config_digest(cfg)
     label = cfg.optimizer.describe()
     print(f"optimizer: {label}")
@@ -241,7 +252,7 @@ def cmd_train(args) -> int:
     print(f"digest: {digest}")
     # The run validates its inputs: a rejected config leaves no directory.
     record = run_training(cfg)
-    run_dir = _out_dir(args, digest)
+    run_dir = _run_dir(base, digest)
     (run_dir / "resolved.cfg").write_text(canonical_config_text(cfg), encoding="ascii")
     (run_dir / "run.csv").write_text(record.to_csv(optimizer_label=label), encoding="ascii")
     print(f"outcome: {record.outcome}")
@@ -255,13 +266,14 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     base_cfg, plan, optimizers = build_sweep_inputs(_resolved_mapping(args), args.seed)
+    base = _out_base(args)
     text = sweep_canonical_text(base_cfg, plan, optimizers)
     digest = text_digest(text)
     print(f"digest: {digest}")
     print(f"optimizers: {', '.join(k.describe() for k in optimizers)}")
 
     report = run_sweep(base_cfg, plan, optimizers)
-    run_dir = _out_dir(args, digest)
+    run_dir = _run_dir(base, digest)
     (run_dir / "resolved.cfg").write_text(text, encoding="ascii")
 
     lines = []

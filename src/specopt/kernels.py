@@ -10,7 +10,10 @@ SVD. The two building blocks are
   positive definite matrix (Guo & Higham 2006), q in {2, 4, 8}. One pass
   gives the cubic polar factor (q = 2 on the Gram matrix), ``coupled_root``'s
   square or quarter root and its inverse (q = 2 or 4), and the fractional
-  powers below.
+  powers below. For q = 4 and 8 the pass opens with scaled Newton steps
+  from a committed table (_SCALED_STEPS), which lift a small eigenvalue
+  about 10x a step where a plain step lifts it 2.4x or 2.6x, so the stiff
+  spectra training produces converge inside the default budget.
 
 The assembled ``spectral_transform`` keeps a matrix's singular vectors and
 raises its singular values to a power in {1, 1/2, 1/4, 0}:
@@ -270,6 +273,36 @@ def coupled_root(
     return a.dot(_power(z, q - 1)), z, diag
 
 
+# (a_k, b_k) of the scaled Newton steps T_k = a_k I - b_k M that open an
+# inverse-root pass, per root degree q (Iannazzo 2006; chosen greedily per
+# step as in Polar Express, Amsel et al. 2025). From the spectrum [l_k, 1] of
+# M, each step takes r = b_k / a_k to equalize (1 - r mu)^q mu at both ends,
+# capped at r_max, and a_k to bring that polynomial's maximum on the
+# interval to 1, so M's spectrum maps into [l_{k+1}, 1] and stays in (0, 1].
+# The schedule starts at l_0 = 1e-10 and ends once 1 - l_k <= 1e-3; plain
+# Newton steps ((q + 1)/q, 1/q) follow, and q = 2 runs only those. A capped
+# step lifts a small eigenvalue by a_k^q: 8.5 (q = 4) and 11.6 (q = 8),
+# against 2.4 and 2.6 for a plain one. The caps, r_max = 0.7 for q = 4 and
+# 0.5 for q = 8, keep 1 - r mu from cancelling (at kappa 100 uncapped steps
+# leave errors near 1e-9, capped ones 4e-14) and keep O^T Z symmetric
+# within 1e-9 on a rank-deficient input at q = 8 (1e-8 at a cap of 0.7).
+# tests/test_kernels.py rebuilds both tables from (l_0, q, r_max).
+_SCALED_STEPS = {
+    4: ((1.7097279998342256, 1.1968095998839579),) * 9 + (
+        (1.6532033228348921, 1.0116290479736771),
+        (1.4884919424967504, 0.5985802509068265),
+        (1.3205776126912716, 0.329010377420897),
+        (1.2552815417173715, 0.25532636218723426),
+    ),
+    8: ((1.3577008399132866, 0.6788504199566433),) * 8 + (
+        (1.302604202036891, 0.4675731716960869),
+        (1.2149124941373757, 0.2497136577958626),
+        (1.1445039187872, 0.1459126239102101),
+        (1.1257923026273426, 0.1257945382757375),
+    ),
+}
+
+
 # Gram side from which X = T_1 ... T_K goes to a helper thread: below it the
 # hand-offs cost more than the product. p = 1/2 calls on a 2-core host at one
 # BLAS thread, inline -> helper: 24 wide 171 -> 664 us, 96 wide +2 %,
@@ -283,9 +316,11 @@ def _inverse_root_core(
     """One coupled Newton pass for the inverse q-th root, q in {2, 4, 8}.
 
     Callers pass an exactly symmetric ``a`` and ``iters >= 1``. With
-    M_0 = a / alpha, alpha = ||a||_F, each step takes T = ((q + 1) I - M) / q,
-    then X <- X T (X_1 = T) and M <- T^q M, T^q by repeated squaring, so
-    M_k = X_k^q M_0 tends to I and X_k to M_0^(-1/q) (Guo & Higham 2006).
+    M_0 = a / alpha, alpha = ||a||_F, step k takes T = a_k I - b_k M, from
+    _SCALED_STEPS for q = 4 and 8 and then the plain Newton step
+    ((q + 1) I - M) / q, then X <- X T (X_1 = T) and M <- T^q M, T^q by
+    repeated squaring, so M_k = X_k^q M_0 tends to I and X_k to M_0^(-1/q)
+    (Guo & Higham 2006; scaled steps after Iannazzo 2006).
     Returns X_K and the call's one record, which every exit hands out:
     alpha, the number of steps and the history of ||M_k - I||_F;
     a^(-1/q) is X_K alpha^(-1/q). k steps cost (log2(q) + 2) k - 1
@@ -301,7 +336,8 @@ def _inverse_root_core(
         raise DegenerateInputError(f"{label}: zero matrix has no inverse root")
     n = a.shape[0]
     eye = np.eye(n)
-    eye_q1 = (q + 1) * eye
+    scaled = _SCALED_STEPS.get(q, ())
+    plain = ((q + 1) / q, 1 / q)
     squarings = q.bit_length() - 1
     m = a / alpha
     diag = KernelDiagnostics(0, alpha, [])
@@ -314,7 +350,12 @@ def _inverse_root_core(
 
     with dense.Lane(n >= _LANE_MIN_SIDE and dense.step_lanes() > 1, "specopt-root") as lane:
         while True:
-            t = (eye_q1 - m) / q
+            k = diag.iterations_run
+            a_k, b_k = scaled[k] if k < len(scaled) else plain
+            # a I - b M without a division: scale M, then add a to the
+            # diagonal in place.
+            t = m * -b_k
+            t.ravel()[::n + 1] += a_k
             lane.push(fold, t)
             tq = t
             for _ in range(squarings):
@@ -412,8 +453,12 @@ def spectral_transform(
     powers ignore it. The identity power performs zero iterations.
 
     p = 1/2 and 1/4 return O A^(-1/4) and O (A^(-1/8))^3 from one inverse-root
-    pass on the small-side Gram matrix A = O^T O. The default budget suits
-    condition numbers up to about 100; far stiffer spectra need more steps.
+    pass on the small-side Gram matrix A = O^T O. Its scaled opening steps
+    target eigenvalues of A down to 1e-10 of its norm, so the default budget
+    converges in 14-15 steps at condition number 1e4 and stays within the
+    calibrated tolerance at 1e6 (about 1e-5 off at p = 1/2 and 1e-6 at
+    p = 1/4, on small sides from 16 to 128); stiffer directions converge at
+    the plain steps' pace and need more steps.
     A residual that is non-finite or grows, or a non-finite output, raises
     KernelDivergenceError. A kernel's error comes out led by its route:
     ``spectral transform p=0.25: ...`` or ``... p=0.0 method=cubic: ...``.

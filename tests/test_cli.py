@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specopt import oracle
+from specopt import cli, oracle
 from specopt.cli import (
     _SWEEP_KEYS,
     EXIT_CHECK_FAILED,
@@ -489,6 +489,22 @@ def test_rejected_config_leaves_no_run_directory(tmp_path, capsys, command, over
     assert main([command, "--config", cfg, "--out-dir", str(out), *sets]) == EXIT_USER_ERROR
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,runner", [("train", "run_training"), ("sweep", "run_sweep")])
+def test_an_unwritable_out_dir_fails_before_the_run(tmp_path, capsys, monkeypatch, command,
+                                                     runner):
+    # A path below a regular file can never hold the run directory.
+    cfg = write_cfg(tmp_path, TRAIN_CFG if command == "train" else SWEEP_CFG)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    ran = []
+    monkeypatch.setattr(cli, runner, lambda *args: ran.append(args))
+    for out in (blocker / "o", blocker):
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == EXIT_USER_ERROR
+        assert "is not a directory" in capsys.readouterr().err
+    assert ran == []
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_sweep_requires_lr_grid(tmp_path, capsys):

@@ -8,6 +8,8 @@ trains eight 400-step runs, so its test narrows ``RATES`` to one optimizer.
 import importlib.util
 from pathlib import Path
 
+from specopt.calibration import QUINTIC_SV_BAND
+
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
@@ -34,7 +36,12 @@ def test_kernel_accuracy_prints_its_condition_ladder(capsys):
     rows = printed_rows(capsys)
     assert rows[0] == ["condition", "half-power", "quarter-power", "cubic", "polar",
                        "quintic", "band"]
-    assert [row[0] for row in rows[1:5]] == ["2", "10", "50", "100"]
+    ladder = rows[1:7]
+    assert [row[0] for row in ladder] == ["2", "10", "50", "100", "10000", "1000000"]
+    # Half and quarter powers meet 1e-3 on the stiff rungs too; the quintic's
+    # smallest singular value leaves its band there.
+    assert all(float(row[1]) <= 1e-3 and float(row[2]) <= 1e-3 for row in ladder)
+    assert all(float(row[4].strip("[,")) < QUINTIC_SV_BAND[0] for row in ladder[4:])
 
 
 def test_optimizer_shootout_runs_one_optimizer(capsys, monkeypatch):

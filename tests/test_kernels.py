@@ -395,14 +395,21 @@ def test_transform_checks_the_budget_before_the_gram():
 
 
 def test_transform_reports_an_unconverged_pass():
-    # At kappa 1e4 the default budget leaves the one inverse-root pass far
-    # from converged (p = 1/2 is about 6e-3 off, p = 1/4 about 4e-2), and
-    # its final residual says so.
+    # At kappa 1e4 the scaled steps converge inside the default budget
+    # (15 steps for p = 1/2, 14 for p = 1/4); 8 steps leave the pass far
+    # from converged (0.26 and 0.40 off), and its final residual says so.
     a = spectrum_matrix(np.random.default_rng(0), 128, 128, 1e4)
-    for exponent in (SpectralExponent.HALF, SpectralExponent.QUARTER):
-        _, diag = spectral_transform(a, exponent)
-        assert diag.iterations_run == DEFAULT_ROOT_STEPS
+    for exponent, steps, err in ((SpectralExponent.HALF, 15, 1e-11),
+                                 (SpectralExponent.QUARTER, 14, 1e-10)):
+        want = spectral_power_exact(a, exponent.power)
+        out, diag = spectral_transform(a, exponent)
+        assert diag.iterations_run == steps < DEFAULT_ROOT_STEPS
+        assert diag.residual_per_iter[-1] <= 1e-14
+        assert rel_err(out, want) <= err
+        out, diag = spectral_transform(a, exponent, iters=8)
+        assert diag.iterations_run == 8
         assert diag.residual_per_iter[-1] > 1.0
+        assert rel_err(out, want) > 0.1
 
 
 @pytest.mark.parametrize("exponent", [SpectralExponent.HALF, SpectralExponent.QUARTER])
@@ -430,9 +437,10 @@ def test_transform_is_exact_on_well_conditioned_spectra(exponent):
 ])
 def test_rank_deficient_input_is_exact_or_raises_at_every_budget(exponent, tol):
     # Along the null space of O^T O, M starts at rounding level and X grows
-    # by (q + 1)/q a step; O annihilates that growth until M's negative
-    # rounding modes blow up, about 40 steps in, and the growth guard
-    # raises. Every larger budget runs the same steps and raises the same.
+    # by a_k a step; O annihilates that growth until M's negative rounding
+    # modes blow up, 30 (p = 1/2) and 27 (p = 1/4) steps in, and the growth
+    # guard raises; before that the error stays within 4.1e-9. Every larger
+    # budget runs the same steps and raises the same.
     rng = np.random.default_rng(0)
     a = rng.standard_normal((128, 64)) @ rng.standard_normal((64, 128)) / 64
     want = spectral_power_exact(a, exponent.power)
@@ -457,12 +465,16 @@ def test_rank_deficient_input_is_exact_or_raises_at_every_budget(exponent, tol):
 
 def test_transform_reports_an_overflowed_root_iterate():
     # An exact zero singular value keeps M finite while X grows by
-    # (q + 1)/q a step; thousands of steps overflow X (p = 1/2) or X^3
-    # (p = 1/4), and the output's check raises with no RuntimeWarning first.
+    # (q + 1)/q a step after the scaled ones; thousands of steps overflow X
+    # (p = 1/2) or X^3 (p = 1/4), and the output's check raises with no
+    # RuntimeWarning first.
+    # The scaled steps move M's unit eigenvalue off 1 and back, so the
+    # surviving one comes out a rounding step away.
     a = np.diag([1.0, 0.0])
-    for exponent in (SpectralExponent.HALF, SpectralExponent.QUARTER):
+    for exponent, one in ((SpectralExponent.HALF, 1.0000000000000002),
+                          (SpectralExponent.QUARTER, 0.9999999999999997)):
         out, _ = spectral_transform(a, exponent, iters=1000)
-        assert np.array_equal(out, a)
+        assert np.array_equal(out, np.diag([one, 0.0]))
         with pytest.raises(KernelDivergenceError, match="root iterate overflowed") as info:
             spectral_transform(a, exponent, iters=4000)
         assert str(info.value).startswith(f"spectral transform p={exponent.power}: ")
@@ -504,14 +516,87 @@ def test_transform_normalizes_a_gram_past_the_float_range():
     assert np.allclose(out, want, rtol=1e-14, atol=0.0)
 
 
+# --- the scaled step schedule ------------------------------------------------
+
+
+def _greedy_schedule(lo, q, r_max):
+    """(a_k, b_k) and the interval floors l_k of the greedy scaled Newton
+    schedule from [lo, 1]: with h(mu) = (1 - r mu)^q mu, r equalizes h at
+    both ends, capped at r_max, and a_k = max h^(-1/q), until 1 - l_k <= 1e-3."""
+    steps, floors = [], [lo]
+    while 1.0 - lo > 1e-3:
+        rho = lo ** (-1.0 / q)
+        r = min((rho - 1.0) / (rho - lo), r_max)
+
+        def h(mu):
+            return (1.0 - r * mu) ** q * mu
+
+        peak = 1.0 / ((q + 1) * r)
+        hi = h(peak) if lo < peak < 1.0 else max(h(lo), h(1.0))
+        a = hi ** (-1.0 / q)
+        steps.append((a, a * r))
+        lo = min(h(lo), h(1.0)) / hi
+        floors.append(lo)
+    return steps, floors
+
+
+_SCHEDULES = {q: _greedy_schedule(1e-10, q, r_max)[0] for q, r_max in ((4, 0.7), (8, 0.5))}
+
+
+@pytest.mark.parametrize("q,r_max,first,last", [
+    (4, 0.7, (1.709728, 1.196810), (1.255282, 0.255326)),
+    (8, 0.5, (1.357701, 0.678850), (1.125792, 0.125795)),
+])
+def test_scaled_step_tables_rebuild_from_the_greedy(q, r_max, first, last):
+    steps, floors = _greedy_schedule(1e-10, q, r_max)
+    assert kernels._SCALED_STEPS[q] == tuple(steps)
+    assert np.allclose([steps[0], steps[-1]], [first, last], rtol=0.0, atol=1e-6)
+    assert floors[-1] >= 1.0 - 1e-3
+    # Each step maps the spectrum [l_k, 1] of M into [l_{k+1}, 1].
+    for (a, b), lo, lo_next in zip(steps, floors, floors[1:]):
+        mu = np.unique(np.concatenate([np.geomspace(lo, 1.0, 4001), np.linspace(lo, 1.0, 4001)]))
+        image = (a - b * mu) ** q * mu
+        assert image.min() >= lo_next * (1.0 - 1e-12) and image.max() <= 1.0 + 1e-12, (a, b)
+    assert 2 not in kernels._SCALED_STEPS
+
+
+def _stiff_inputs(seed):
+    rng = np.random.default_rng(seed)
+    for rows, cols in ((96, 16), (32, 24), (96, 128), (128, 128)):
+        for cond in (1e4, 1e6):
+            yield f"{rows}x{cols}@{cond:g}", spectrum_matrix(rng, rows, cols, cond)
+    yield "128x128@rank64", rng.standard_normal((128, 64)) @ rng.standard_normal((64, 128)) / 64
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stiff_spectra_meet_the_tolerance_at_the_default_budget(seed):
+    # Plain Newton steps lift a small eigenvalue of M 2.4x (q = 4) or 2.6x
+    # (q = 8) a step, so 18 of them left kappa 1e4 about 6e-3 off at p = 1/2.
+    # O^T Z = V diag(sigma^(1 + p)) V^T must also come out symmetric positive
+    # semidefinite within 1e-9 of its norm.
+    for label, a in _stiff_inputs(seed):
+        tri = jacobi_svd(a)
+        for exponent, tol in ((SpectralExponent.HALF, REL_TOL_HALF),
+                              (SpectralExponent.QUARTER, REL_TOL_QUARTER)):
+            out, _ = spectral_transform(a, exponent)
+            want = (tri.u * tri.sigma ** exponent.power) @ tri.v.T
+            assert rel_err(out, want) <= tol, (label, exponent)
+            s = a.T @ out
+            scale = np.linalg.norm(s)
+            assert np.linalg.norm(s - s.T) <= 1e-9 * scale, (label, exponent)
+            assert np.linalg.eigvalsh(0.5 * (s + s.T))[0] >= -1e-9 * scale, (label, exponent)
+
+
 # --- bit-for-bit pin against the textbook loops ----------------------------
 
 
 def _ref_root(a, q, j, iters=18):
     """One coupled Newton pass for the inverse q-th root of A = O^T O, as
     written in the textbook: M_0 = A / ||A||_F, X_0 = I, and per step
+    T = a_k I - b_k M from the greedy schedule (none for q = 2), then
     T = ((q + 1) I - M) / q, X <- X T, M <- T^q M with T^q by repeated
     squaring, until ||M - I||_F <= 1e-14. The output is O X^j ||A||_F^(-j/q)."""
+    scaled = _SCHEDULES.get(q, [])
     work = a.T if a.shape[0] < a.shape[1] else a
     x = work.T @ work
     x = 0.5 * (x + x.T)
@@ -520,7 +605,11 @@ def _ref_root(a, q, j, iters=18):
     m, root = x / alpha, eye
     residuals = []
     while len(residuals) < iters:
-        t = ((q + 1) * eye - m) / q
+        if len(residuals) < len(scaled):
+            a_k, b_k = scaled[len(residuals)]
+            t = a_k * eye - b_k * m
+        else:
+            t = ((q + 1) * eye - m) / q
         root = root @ t
         for _ in range(int(np.log2(q))):
             t = t @ t
