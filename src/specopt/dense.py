@@ -73,14 +73,16 @@ def one_blas_thread():
 
 class Lane(contextlib.AbstractContextManager):
     """Runs pushed calls in push order: on one helper thread named ``name``,
-    in a copy of its creator's context (numpy's error state is a context
-    variable), or at once on the caller's when ``helper`` is false.
+    each in a copy of the context it was pushed from (numpy's error state is
+    a context variable), or at once on the caller's when ``helper`` is false.
 
     wait() returns the last call's value, or re-raises the first failure
     since the previous wait() and skips the calls after it. Leaving the
     ``with`` block joins the thread on every exit; a wait() after it reads
-    what the thread left. run_training opens one per matrix parameter per
-    run; the inverse-root pass one per call, for its X folds.
+    what the thread left. run_training opens at most one per run, a helper
+    for the steps of all but its costliest matrix and the X folds of that
+    matrix's inverse-root passes; a pass called outside a training step
+    opens one per call, for its folds.
     """
 
     def __init__(self, helper: bool, name: str):
@@ -89,8 +91,7 @@ class Lane(contextlib.AbstractContextManager):
         self._calls = queue.SimpleQueue() if helper else None
         if helper:
             self._ran = queue.SimpleQueue()  # one item per call the helper has run
-            self._thread = threading.Thread(target=contextvars.copy_context().run,
-                                            args=(self._serve,), name=name)
+            self._thread = threading.Thread(target=self._serve, name=name)
             self._thread.start()
 
     def push(self, fn, *args) -> None:
@@ -98,7 +99,7 @@ class Lane(contextlib.AbstractContextManager):
             self._run(fn, args)
         else:
             self._pending += 1
-            self._calls.put((fn, args))
+            self._calls.put((contextvars.copy_context(), fn, args))
 
     def wait(self):
         for _ in range(self._pending):
@@ -118,7 +119,8 @@ class Lane(contextlib.AbstractContextManager):
 
     def _serve(self) -> None:
         while (call := self._calls.get()) is not None:
-            self._run(*call)
+            context, fn, args = call
+            context.run(self._run, fn, args)
             self._ran.put(None)
 
     def __exit__(self, *exc_info) -> None:

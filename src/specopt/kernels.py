@@ -38,8 +38,9 @@ Matmul counts, with n x n products on the small side n:
                               X_1 = T saves one), 4k - 1 for q = 4 (one more
                               squaring), 5k - 1 for q = 8 (two more); on
                               the critical path one product fewer a step
-                              when X T runs on a helper thread
-                              (_inverse_root_core)
+                              when X T runs on a helper thread: the
+                              training step's own helper (folds_on), else
+                              one per call (_inverse_root_core)
     cubic polar               a q = 2 pass plus the Gram and output
                               products: 3k + 1
     coupled_root, q = 2       a q = 2 pass plus A X: 3k
@@ -62,6 +63,8 @@ before the BLAS call.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -303,11 +306,30 @@ _SCALED_STEPS = {
 }
 
 
-# Gram side from which X = T_1 ... T_K goes to a helper thread: below it the
-# hand-offs cost more than the product. p = 1/2 calls on a 2-core host at one
-# BLAS thread, inline -> helper: 24 wide 171 -> 664 us, 96 wide +2 %,
-# 128 wide -9 %, 256 wide -18 %.
+# Gram side from which X = T_1 ... T_K goes to a helper thread, a training
+# step's (folds_on) or one opened for the call: below it the hand-offs cost
+# more than the product. p = 1/2 calls on a 2-core host at one BLAS thread,
+# inline -> helper: 24 wide 171 -> 664 us, 96 wide +2 %, 128 wide -9 %,
+# 256 wide -18 %.
 _LANE_MIN_SIDE = 128
+
+# The lane a training step hands the passes on its calling thread (folds_on);
+# None everywhere else, its helper thread included.
+_STEP_HELPER = contextvars.ContextVar("specopt_step_helper", default=None)
+
+
+@contextlib.contextmanager
+def folds_on(lane: dense.Lane):
+    """Inside the block, inverse-root passes from _LANE_MIN_SIDE wide push
+    their X folds to ``lane`` rather than open a lane of their own, and read
+    no lane count. ``lane`` must be a helper other than the block's thread;
+    its owner waits on it after the block, which a pass that raised leaves
+    with folds still queued."""
+    token = _STEP_HELPER.set(lane)
+    try:
+        yield
+    finally:
+        _STEP_HELPER.reset(token)
 
 
 def _inverse_root_core(
@@ -326,10 +348,12 @@ def _inverse_root_core(
     a^(-1/q) is X_K alpha^(-1/q). k steps cost (log2(q) + 2) k - 1
     matmuls: X_1 = T saves one.
 
-    The M chain never reads X, so from _LANE_MIN_SIDE wide, when another
-    thread may make BLAS calls beside this one (dense.step_lanes), the
-    folds X <- X T run on a helper thread (a dense.Lane named
-    ``specopt-root``) and the chain's steps are one product shorter.
+    The M chain never reads X, so from _LANE_MIN_SIDE wide the folds
+    X <- X T can run on a helper thread and the chain's steps are one
+    product shorter: inside a training step, on the step's helper
+    (folds_on), behind the other matrices' steps; elsewhere, when another
+    thread may make BLAS calls beside this one (dense.step_lanes), on a
+    dense.Lane named ``specopt-root`` that lives as long as the call.
     """
     alpha = frobenius_norm(a)
     if alpha == 0.0:
@@ -348,7 +372,9 @@ def _inverse_root_core(
         x = t if x is None else x.dot(t)
         return x
 
-    with dense.Lane(n >= _LANE_MIN_SIDE and dense.step_lanes() > 1, "specopt-root") as lane:
+    helper = _STEP_HELPER.get() if n >= _LANE_MIN_SIDE else None
+    with (dense.Lane(n >= _LANE_MIN_SIDE and dense.step_lanes() > 1, "specopt-root")
+          if helper is None else contextlib.nullcontext(helper)) as lane:
         while True:
             k = diag.iterations_run
             a_k, b_k = scaled[k] if k < len(scaled) else plain

@@ -10,13 +10,16 @@ bit-reproduces every recorded row on the same platform and BLAS build (a
 run pins one BLAS thread per call). Wall time is kept on the record object
 but never serialized, so output files stay byte-stable.
 
-Every matrix parameter steps on its own dense.Lane, opened once per run
-and joined when the run ends (see _step_params). The steps share nothing
-within a step, so when the exponent is not one, the run has two or more
-matrix parameters and the process may use two or more CPUs, the costliest
-of them have helper-thread lanes, and the calling thread steps the rest on
-inline ones. Each step is the same computation on the same inputs whichever
-thread runs it, so a run's rows do not depend on the CPU count.
+A run steps its matrix parameters on at most one helper thread (a
+dense.Lane opened once per run and joined when the run ends; see
+_offloaded and _step_params). The steps share nothing within a step, so
+when the exponent is not one, the run has two or more matrix parameters
+and the process may use two or more CPUs, the helper steps all but the
+costliest of them while the calling thread steps that one, and the X folds
+of its inverse-root passes queue on the helper behind the others' steps.
+At most two threads make BLAS calls at once. Each step is the same
+computation on the same inputs whichever thread runs it, so a run's rows
+do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import dense
 from .errors import ConfigError, ToolkitError
-from .kernels import SpectralExponent
+from .kernels import SpectralExponent, folds_on
 from .optim import (
     HyperParams,
     InputKind,
@@ -299,43 +302,83 @@ def _safe_loss(fn) -> float:
 
 def _offloaded(params: Mapping[str, np.ndarray], matrix_names: list[str],
                exponent: SpectralExponent) -> list[str]:
-    """The matrix parameters that step on helper threads, costliest first.
+    """The matrix parameters the run's helper thread steps, in sorted order;
+    [] when the run gets no helper.
 
-    One per helper, with one lane left to the calling thread. Every kernel
-    product is n x n on a matrix's small side n, so a step costs about n
-    cubed; ties go by name. The identity exponent runs no kernel, so its
-    steps stay on the calling thread.
+    It gets one when the exponent is not one (the identity runs no kernel),
+    it has two or more matrix parameters and the process may use two or
+    more CPUs (dense.step_lanes, read here once per run). The helper steps
+    every matrix parameter but the costliest, which the calling thread
+    steps. Every kernel product is n x n on a matrix's small side n, so a
+    step costs about n cubed; ties go by name. Both built-in tasks need no
+    more: on charlm W1 (128 wide) bounds the step while W2, the embedding
+    and W1's folds fit beside it on the helper, and matreg has one matrix.
     """
-    if exponent is SpectralExponent.ONE or len(matrix_names) < 2:
+    if exponent is SpectralExponent.ONE or len(matrix_names) < 2 or dense.step_lanes() < 2:
         return []
-    helpers = min(dense.step_lanes(), len(matrix_names)) - 1
-    return sorted(matrix_names, key=lambda name: (-min(params[name].shape), name))[:helpers]
+    costliest = min(matrix_names, key=lambda name: (-min(params[name].shape), name))
+    return [name for name in matrix_names if name != costliest]
 
 
-def _step_params(params, grads, states, lanes, optimizer, hp) -> None:
+def _step_params(params, grads, states, matrix_names, helper, offloaded, optimizer, hp) -> None:
     """One step of every parameter, assigned in sorted name order.
 
-    Every matrix parameter steps on its lane (``lanes``, by name, helpers
-    first): the pushes start the helpers' steps, then run the inline lanes'
-    steps on the calling thread. The new values, and the vector steps, are
-    then assigned name by name. A step that raised re-raises at its name's
-    turn (Lane.wait), so the names before it are stepped and the ones after
-    it keep their old values, as in one serial pass. Inline steps after a
-    failed one may still run, but are never assigned: the run ends there.
+    Without a helper every step runs on the calling thread in that order,
+    so a step that raises leaves the names before it stepped and the ones
+    after it with their old values. With one, _steps_beside runs the matrix
+    steps first, and each name's outcome, value or failure, comes out at
+    its turn, so the parameters end as in one serial pass.
     """
     def matrix_step(name):
         return step_matrix_param(params[name], grads[name], states[name],
                                  optimizer, hp, param_name=name)
 
-    for name, lane in lanes.items():
-        lane.push(matrix_step, name)
+    if helper is not None:
+        matrix_step = _steps_beside(helper, offloaded, matrix_names, matrix_step)
     for name in sorted(params):
-        if name in lanes:
-            params[name], states[name], _ = lanes[name].wait()
+        if name in matrix_names:
+            params[name], states[name], _ = matrix_step(name)
         else:
             params[name], states[name] = step_vector_param(
                 params[name], grads[name], states[name], hp, param_name=name,
             )
+
+
+def _steps_beside(helper, offloaded, matrix_names, matrix_step):
+    """Run every matrix step: ``offloaded`` pushed to ``helper`` in order,
+    then the rest on the calling thread, their inverse-root passes folding
+    X on ``helper`` behind those steps (kernels.folds_on). Returns a
+    function that hands out a name's result, or re-raises its failure.
+
+    A helper step's failure is kept for its name, never left on the lane,
+    so a pass's wait() on the lane sees only its folds. A fold can fail
+    unwaited only behind a pass that raised, so that name's failure is
+    already kept and the fold's is dropped.
+    """
+    outcomes = {}
+
+    def keep(name):
+        try:
+            outcomes[name] = matrix_step(name)
+        except BaseException as exc:  # re-raised at the name's turn
+            outcomes[name] = exc
+
+    for name in offloaded:
+        helper.push(keep, name)
+    with folds_on(helper):
+        for name in matrix_names:
+            if name not in offloaded:
+                keep(name)
+    with contextlib.suppress(Exception):
+        helper.wait()
+
+    def kept(name):
+        outcome = outcomes[name]
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    return kept
 
 
 @dense.one_blas_thread()
@@ -346,7 +389,7 @@ def run_training(cfg: TrainConfig) -> RunRecord:
     gradient error inside a step) ends the run with outcome "diverged" and
     a final row carrying the offending loss; it never raises. Its BLAS calls
     run on one thread (a count the caller's other threads share), restored
-    on every exit once the lanes of its steps are joined.
+    on every exit once its helper thread, if it has one, is joined.
     """
     start = time.perf_counter()
     task = make_task(cfg.task, cfg.seed, cfg.corpus_path)
@@ -367,10 +410,8 @@ def run_training(cfg: TrainConfig) -> RunRecord:
     record.rows.append(EvalRow(0, initial_loss, task.eval_loss(params), 0.0))
 
     batches = _BatchStream(task.num_train, cfg.batch_size, seeded_rng(cfg.seed, 2))
-    with contextlib.ExitStack() as stack:
-        helpers = _offloaded(params, matrix_names, cfg.optimizer.exponent)
-        lanes = {name: stack.enter_context(dense.Lane(name in helpers, f"specopt-step-{name}"))
-                 for name in helpers + [n for n in matrix_names if n not in helpers]}
+    offloaded = _offloaded(params, matrix_names, cfg.optimizer.exponent)
+    with dense.Lane(True, "specopt-step") if offloaded else contextlib.nullcontext() as helper:
         for step in range(1, cfg.total_steps + 1):
             lr_eff = float(lr_at(cfg, step))
             hp_step = replace(cfg.hp, lr_mat=lr_eff)
@@ -381,7 +422,8 @@ def run_training(cfg: TrainConfig) -> RunRecord:
                 if not np.isfinite(loss) or loss > threshold:
                     diverged = True
                 else:
-                    _step_params(params, grads, states, lanes, cfg.optimizer, hp_step)
+                    _step_params(params, grads, states, matrix_names, helper, offloaded,
+                                 cfg.optimizer, hp_step)
             except ToolkitError:
                 loss = float("nan")
                 diverged = True

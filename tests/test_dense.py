@@ -153,6 +153,20 @@ def test_the_creators_error_state_reaches_the_helper():
         assert lane.wait() == np.inf
 
 
+def test_each_call_runs_in_the_error_state_it_was_pushed_in():
+    def overflow():
+        return np.float64(1e300) * np.float64(1e300)
+
+    with np.errstate(over="warn"), Lane(True, "specopt-test") as lane:
+        with np.errstate(over="raise"):
+            lane.push(overflow)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            lane.wait()
+        with np.errstate(over="ignore"):
+            lane.push(overflow)
+        assert lane.wait() == np.inf
+
+
 @pytest.mark.parametrize("helper", [False, True])
 def test_the_first_failure_reraises_at_wait_and_skips_later_calls(helper):
     ran = []

@@ -809,3 +809,34 @@ def test_a_failure_on_the_helper_reaches_the_caller(lane_floor, monkeypatch):
         spectral_transform(spectrum_matrix(np.random.default_rng(0), 16, 8, 1e2),
                            SpectralExponent.QUARTER)
     assert not root_threads()
+
+
+def test_a_training_steps_helper_takes_the_folds_from_128_wide(lane_floor, monkeypatch):
+    """Outside a training step a 128-wide pass folds X on a lane of its own;
+    inside folds_on it folds on the step's helper, starts no thread and reads
+    no lane count, and a narrower pass folds inline. The bits stay the same."""
+    _, folded = lane_floor
+    started, reads = [], []
+    start = threading.Thread.start
+
+    def starting(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", starting)
+    monkeypatch.setattr(dense, "step_lanes", lambda: reads.append(2) or 2)
+    rng = np.random.default_rng(0)
+    wide, narrow = spectrum_matrix(rng, 128, 128, 1e2), spectrum_matrix(rng, 96, 16, 1e2)
+    direct = spectral_transform(wide, SpectralExponent.HALF)[0]
+    assert started == ["specopt-root"] and len(reads) == 1 and set(folded) == {"specopt-root"}
+    with dense.Lane(True, "specopt-test") as helper:
+        for seen in (started, reads, folded):
+            seen.clear()
+        with kernels.folds_on(helper):
+            stepped = spectral_transform(wide, SpectralExponent.HALF)[0]
+            assert set(folded) == {"specopt-test"}
+            folded.clear()
+            spectral_transform(narrow, SpectralExponent.HALF)
+            assert set(folded) == {"MainThread"}
+    assert started == [] and reads == []
+    assert stepped.tobytes() == direct.tobytes()

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specopt import dense, train
+from specopt import dense, kernels, train
 from specopt.errors import ConfigError, KernelDivergenceError
 from specopt.optim import ALL_OPTIMIZERS, HyperParams, OptimizerState, parse_optimizer
 from specopt.sweep import SweepPlan
@@ -360,16 +360,16 @@ for kind in ALL_OPTIMIZERS:
     assert two == one
 
 
-def test_the_costliest_matrices_go_to_helpers(monkeypatch):
+def test_the_costliest_matrix_steps_on_the_caller_and_the_rest_on_one_helper(monkeypatch):
     shapes = {"a": (8, 8), "b": (8, 8), "c": (4, 90), "w": (9, 3)}
     params = {name: np.zeros(shape) for name, shape in shapes.items()}
     names = sorted(params)
-    for lanes, want in ((1, []), (2, ["a"]), (3, ["a", "b"]), (4, ["a", "b", "c"]),
-                        (9, ["a", "b", "c"])):
+    for lanes, want in ((1, []), (2, ["b", "c", "w"]), (3, ["b", "c", "w"]), (9, ["b", "c", "w"])):
         monkeypatch.setattr(dense, "step_lanes", lambda: lanes)
         assert train._offloaded(params, names, parse_optimizer("adams").exponent) == want
         assert train._offloaded(params, names, parse_optimizer("adam").exponent) == []
-    assert train._offloaded(params, ["a"], parse_optimizer("adams").exponent) == []
+        assert train._offloaded(params, ["a"], parse_optimizer("adams").exponent) == []
+    assert train._offloaded(params, ["c", "w"], parse_optimizer("adams").exponent) == ["w"]
 
 
 def run_on(monkeypatch, lanes, cfg):
@@ -397,7 +397,7 @@ def step_lanes_opened(monkeypatch):
 
 @pytest.mark.parametrize("token", SPECTRAL)
 def test_rows_do_not_depend_on_the_cpu_count(monkeypatch, step_lanes_opened, token):
-    """One lane per matrix parameter, helpers first: _offloaded's picks."""
+    """One helper lane per run from two lanes on, none at one."""
     for lr, outcome in ((CHARLM_LR[token], COMPLETED), (300 * CHARLM_LR[token], DIVERGED)):
         cfg = charlm_config(token, lr)
         rows = []
@@ -405,10 +405,7 @@ def test_rows_do_not_depend_on_the_cpu_count(monkeypatch, step_lanes_opened, tok
             record = run_on(monkeypatch, lanes, cfg)
             assert record.outcome == outcome
             rows.append(record.to_csv(token))
-            helpers = ["W1", "W2"][:lanes - 1]
-            order = helpers + [name for name in ("W1", "W2", "embed") if name not in helpers]
-            assert step_lanes_opened == [(f"specopt-step-{name}", name in helpers)
-                                         for name in order]
+            assert step_lanes_opened == ([] if lanes == 1 else [("specopt-step", True)])
             step_lanes_opened.clear()
         assert rows[1:] == rows[:1] * 2
 
@@ -420,42 +417,97 @@ def test_identity_exponent_and_single_matrix_runs_start_no_thread(monkeypatch, s
     cfg = charlm_config(token, 0.01, task=task)
     record = run_on(monkeypatch, 4, cfg)
     assert record.outcome == COMPLETED
-    matrices = {"charlm": 3, "matreg": 1}[task]
-    assert [helper for _, helper in step_lanes_opened] == [False] * matrices
+    assert step_lanes_opened == []
 
 
-@pytest.mark.parametrize("lanes", [2, 3])
-def test_each_step_pushes_the_helper_lanes_before_the_inline_ones(monkeypatch, lanes):
-    """An inline lane runs its step at push, so one pushed first would hold
-    the helpers back until it returned: the same bits, but a serial step."""
-    helper_of, pushed = {}, []
-    init, push = dense.Lane.__init__, dense.Lane.push
+def record_matrix_steps(monkeypatch, events):
+    """Append (name, thread) to ``events`` at the start of every matrix step."""
+    real = train.step_matrix_param
+
+    def step(w, g, state, kind, hp, param_name=""):
+        events.append((param_name, threading.current_thread()))
+        return real(w, g, state, kind, hp, param_name=param_name)
+
+    monkeypatch.setattr(train, "step_matrix_param", step)
+
+
+def spy_on_the_step_lane(monkeypatch, events):
+    """Append ("push", name) to ``events`` for each matrix step pushed to the
+    run's helper, and ("fold", pushing thread, running thread) for each other
+    call pushed to it: a fold of X."""
+    step_lanes, init, push = set(), dense.Lane.__init__, dense.Lane.push
 
     def opening(self, helper, name):
         if name.startswith("specopt-step"):
-            helper_of[self] = helper
+            step_lanes.add(self)
         init(self, helper, name)
 
     def pushing(self, fn, *args):
-        if self in helper_of:
-            pushed.append(helper_of[self])
-        push(self, fn, *args)
+        if self in step_lanes and isinstance(args[0], str):
+            events.append(("push", args[0]))
+        elif self in step_lanes:
+            pusher = threading.current_thread().name
+
+            def fold(*args):
+                events.append(("fold", pusher, threading.current_thread().name))
+                return fn(*args)
+
+            return push(self, fold, *args)
+        return push(self, fn, *args)
 
     monkeypatch.setattr(dense.Lane, "__init__", opening)
     monkeypatch.setattr(dense.Lane, "push", pushing)
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_each_step_pushes_the_helpers_steps_before_the_callers(monkeypatch, lanes):
+    """The caller's step waits on the helper for its folds, so a helper step
+    pushed after it would run after those folds and hold the caller back."""
+    events = []
+    record_matrix_steps(monkeypatch, events)
+    spy_on_the_step_lane(monkeypatch, events)
     cfg = charlm_config("msgds", CHARLM_LR["msgds"])
     assert run_on(monkeypatch, lanes, cfg).outcome == COMPLETED
-    assert pushed == ([True] * (lanes - 1) + [False] * (4 - lanes)) * cfg.total_steps
+    main = threading.main_thread()
+    order = [event for event in events if event[0] == "push" or event[1] is main]
+    assert order == [("push", "W2"), ("push", "embed"), ("W1", main)] * cfg.total_steps
 
 
 def test_a_run_steps_each_offloaded_matrix_on_one_thread_throughout(monkeypatch):
-    threads = []
-    before_step(monkeypatch, "W1", lambda: threads.append(threading.current_thread()))
+    events = []
+    record_matrix_steps(monkeypatch, events)
     cfg = charlm_config("msgds", CHARLM_LR["msgds"])
     assert run_on(monkeypatch, 2, cfg).outcome == COMPLETED
-    assert len(threads) == cfg.total_steps
-    assert len(set(threads)) == 1 and len({t.ident for t in threads}) == 1
-    assert threads[0].name.startswith("specopt-step") and not threads[0].is_alive()
+    threads = {name: [thread for name_, thread in events if name_ == name]
+               for name in ("W1", "W2", "embed")}
+    assert [len(seen) for seen in threads.values()] == [cfg.total_steps] * 3
+    assert set(threads["W1"]) == {threading.main_thread()}
+    (helper,) = set(threads["W2"] + threads["embed"])
+    assert helper.name == "specopt-step" and not helper.is_alive()
+
+
+@pytest.mark.parametrize("token", ["msgds", "msgdq"])
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_a_run_folds_the_callers_x_on_its_one_helper(monkeypatch, token, lanes):
+    """One specopt-step thread per run and no specopt-root thread: W1's
+    passes, on the caller, fold X on the helper that steps W2 and the
+    embedding; and the run reads the lane count once."""
+    started, reads, events = [], [], []
+    start = threading.Thread.start
+
+    def starting(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", starting)
+    spy_on_the_step_lane(monkeypatch, events)
+    monkeypatch.setattr(dense, "step_lanes", lambda: reads.append(lanes) or lanes)
+    cfg = charlm_config(token, CHARLM_LR[token], total_steps=40, eval_every=10)
+    assert run_training(cfg).outcome == COMPLETED
+    assert len(reads) == 1 and started == ["specopt-step"]
+    folds = [event for event in events if event[0] == "fold"]
+    assert len(folds) >= cfg.total_steps  # a fold or more a pass
+    assert set(folds) == {("fold", "MainThread", "specopt-step")}
 
 
 def capture_params(monkeypatch):
@@ -503,8 +555,8 @@ def fail_at(monkeypatch, name, call, exc):
 @pytest.mark.parametrize("failing", ["W1", "W2", "embed"])
 def test_a_failed_step_leaves_later_parameters_unassigned(monkeypatch, failing):
     """A step's params dict is stepped up to the failing name in sorted order,
-    whichever thread ran each matrix step (W1 steps on a helper at 2 lanes,
-    W1 and W2 at 3)."""
+    whichever thread ran each matrix step (W2 and the embedding step on the
+    helper at 2 and 3 lanes, while W1's folds queue behind them)."""
     records = []
     for lanes in (1, 2, 3):
         with monkeypatch.context() as mp:
@@ -527,9 +579,31 @@ def test_non_toolkit_errors_propagate_and_leave_no_thread(monkeypatch, failing):
     assert not step_threads()
 
 
+def test_a_fold_failing_behind_a_failed_pass_is_dropped(monkeypatch):
+    """W1's pass raises on the caller with a fold still queued on the helper
+    that fails too: the run ends on W1's failure, not the fold's."""
+    real_residual = kernels._residual
+
+    def residual(m, *rest):
+        if m.shape[0] == 128:
+            raise KernelDivergenceError("stuck")
+        return real_residual(m, *rest)
+
+    def failing_fold(self, fn, *args):
+        if isinstance(args[0], str):
+            return push(self, fn, *args)
+        return push(self, lambda *_: 1 / 0)
+
+    push = dense.Lane.push
+    monkeypatch.setattr(kernels, "_residual", residual)
+    monkeypatch.setattr(dense.Lane, "push", failing_fold)
+    record = run_on(monkeypatch, 2, charlm_config("msgds", CHARLM_LR["msgds"]))
+    assert record.outcome == DIVERGED and record.diverged_step == 1
+
+
 @pytest.mark.parametrize("lanes", [1, 2])
 def test_helper_steps_follow_the_callers_error_state(monkeypatch, lanes):
-    before_step(monkeypatch, "W1", lambda: np.float64(1e300) * np.float64(1e300))
+    before_step(monkeypatch, "W2", lambda: np.float64(1e300) * np.float64(1e300))
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         run_on(monkeypatch, lanes, charlm_config("msgdz", 0.03))
     with np.errstate(over="ignore"):
@@ -541,7 +615,7 @@ def test_a_warning_in_a_helper_surfaces_in_the_caller(monkeypatch):
         assert threading.current_thread() is not threading.main_thread()
         warnings.warn("from the helper", RuntimeWarning)
 
-    before_step(monkeypatch, "W1", warn)
+    before_step(monkeypatch, "W2", warn)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="from the helper"):
