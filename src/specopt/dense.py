@@ -80,9 +80,10 @@ class Lane(contextlib.AbstractContextManager):
     since the previous wait() and skips the calls after it. Leaving the
     ``with`` block joins the thread on every exit; a wait() after it reads
     what the thread left. run_training opens at most one per run, a helper
-    for the steps of all but its costliest matrix and the X folds of that
-    matrix's inverse-root passes; a pass called outside a training step
-    opens one per call, for its folds.
+    for the steps of all but its costliest matrix, the X folds of that
+    matrix's inverse-root passes and half the row blocks of each eval
+    row's train_loss; a pass called outside a training step opens one per
+    call, for its folds.
     """
 
     def __init__(self, helper: bool, name: str):

@@ -4,8 +4,14 @@ Both tasks expose the same small surface the harness drives:
 
     params = task.init_params(rng)
     loss, grads = task.loss_and_grads(params, indices)
-    task.train_loss(params), task.eval_loss(params)
-    task.num_train
+    task.train_loss(params, lane), task.eval_loss(params, lane)
+    task.num_train, task.splits_train_loss
+
+Given a dense.Lane helper, a whole-split loss of two or more full row
+blocks runs half of them on it, with the same bits as on one thread;
+task.splits_train_loss says whether train_loss is that large. The helper
+runs only private methods, so a wrapper on the public ones sees each call
+whole, on the calling thread.
 
 Parameters are dicts of numpy arrays. Weight matrices are stored with
 fan_out as the row count and fan_in as the column count
@@ -18,6 +24,7 @@ suite checks every parameter against central finite differences.
 
 from __future__ import annotations
 
+import contextlib
 from importlib import resources
 
 import numpy as np
@@ -29,6 +36,7 @@ VOCAB_SIZE = 96  # newline plus printable ASCII 32..126
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_K = 0.044715
 _LOSS_BLOCK_ROWS = 512  # rows per forward pass when a loss covers a whole split
+_SPLIT_ROWS = 2 * _LOSS_BLOCK_ROWS  # from two full blocks on, a whole-split loss takes a lane
 _HOLDOUT_FRACTION = 0.1  # charlm's held-out share of positions
 
 
@@ -93,6 +101,7 @@ class MatrixRegression:
     """
 
     name = "matreg"
+    splits_train_loss = False  # 40 rows: one pass, never worth a helper
     _DATA_ROWS = 48
     _EVAL_ROWS = 8
     _W_SHAPE = (32, 24)
@@ -125,10 +134,12 @@ class MatrixRegression:
     def loss_and_grads(self, params, indices):
         return self._loss_grad_rows(params, np.asarray(indices))
 
-    def train_loss(self, params) -> float:
+    def train_loss(self, params, lane=None) -> float:
+        del lane  # one pass: nothing to split
         return self._loss_grad_rows(params, np.arange(self.num_train))[0]
 
-    def eval_loss(self, params) -> float:
+    def eval_loss(self, params, lane=None) -> float:
+        del lane
         rows = np.arange(self.num_train, self.targets.shape[0])
         return self._loss_grad_rows(params, rows)[0]
 
@@ -166,6 +177,12 @@ class CharMlp:
         self._train_positions = positions[n_eval:]
         self.num_train = self._train_positions.shape[0]
 
+    @property
+    def splits_train_loss(self) -> bool:
+        """Whether train_loss spans two full row blocks, so that a lane
+        given to it takes half of them."""
+        return self.num_train >= _SPLIT_ROWS
+
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         feat = self.context * self.emb_dim
         return {
@@ -186,14 +203,35 @@ class CharMlp:
         feat = self.context * self.emb_dim
         return [np.empty((rows, n)) for n in (feat,) + (self.hidden,) * 4 + (VOCAB_SIZE,) * 2]
 
+    def _loss_buffers(self, rows: int) -> list[np.ndarray]:
+        """_buffers(rows) for a pass that keeps only its loss: the seven
+        arrays as views of two flat ones.
+
+        Array A holds x, then h, z1_sq and th (one view, which _gelu fills
+        in place), then the exponentials; array B holds z1, then the
+        shifted logits. _forward writes each view only after its last read
+        of the one before it in the same array.
+        """
+        feat = self.context * self.emb_dim
+        width = max(feat, self.hidden, VOCAB_SIZE)
+        a, b = np.empty(rows * width), np.empty(rows * width)
+
+        def view(flat, cols):
+            return flat[:rows * cols].reshape(rows, cols)
+
+        h = view(a, self.hidden)
+        return [view(a, feat), view(b, self.hidden), h, h, h, view(b, VOCAB_SIZE),
+                view(a, VOCAB_SIZE)]
+
     def _forward(self, params, ctx, bufs):
         """Forward pass over a batch of contexts, written into ``bufs``.
 
-        ``bufs`` is _buffers(len(ctx)), or the first len(ctx) rows of a
-        larger set. Returns the features x, the hidden pre-activation z1
-        with the x*x and tanh that the GELU derivative reuses, the hidden
-        activations h, the logits shifted by their row max, and each row's
-        log-sum-exp of the shifted logits (shape (B, 1)).
+        ``bufs`` is _buffers(len(ctx)) or _loss_buffers(len(ctx)), or the
+        first len(ctx) rows of a larger set. Returns the features x, the
+        hidden pre-activation z1 with the x*x and tanh that the GELU
+        derivative reuses, the hidden activations h, the logits shifted by
+        their row max, and each row's log-sum-exp of the shifted logits
+        (shape (B, 1)); from _loss_buffers only the last two are kept.
         """
         x, z1, h, z1_sq, th, shifted, expo = bufs
         # ctx holds symbols 0..VOCAB_SIZE-1, so "clip" never clips; unlike
@@ -216,17 +254,41 @@ class CharMlp:
         # Gather the target column first: the full log-softmax is never built.
         return shifted[np.arange(len(tgt)), tgt] - logsum[:, 0]
 
-    def _loss(self, params, positions) -> float:
+    def _loss(self, params, positions, lane) -> float:
         # Fixed row blocks keep the arrays of a full-split pass small, and
-        # every block reuses one set: fresh arrays per block made glibc hand
-        # their pages back to the OS and fault them in again (5.9k minor
-        # faults an eval row, against 1.4k with one set per call).
-        bufs = self._buffers(min(len(positions), _LOSS_BLOCK_ROWS))
+        # each thread's blocks reuse one two-array set: fresh arrays per
+        # block made glibc hand their pages back to the OS and fault them in
+        # again (5.9k minor faults an eval row, against 1.4k with one
+        # seven-array set per call). From two full blocks on, a lane runs
+        # the later half of them beside the calling thread.
+        starts = range(0, len(positions), _LOSS_BLOCK_ROWS)
+        sums = [0.0] * len(starts)
+
+        def run(blocks):
+            bufs = self._loss_buffers(min(len(positions), _LOSS_BLOCK_ROWS))
+            for i in blocks:
+                ctx, tgt = self._batch(positions[starts[i]:starts[i] + _LOSS_BLOCK_ROWS])
+                *_, shifted, logsum = self._forward(params, ctx, [b[:len(tgt)] for b in bufs])
+                sums[i] = float(self._target_logp(shifted, logsum, tgt).sum())
+
+        blocks = range(len(starts))
+        if lane is None or len(positions) < _SPLIT_ROWS:
+            run(blocks)
+        else:
+            half = len(blocks) // 2
+            lane.push(run, blocks[half:])
+            try:
+                run(blocks[:half])
+            except BaseException:
+                with contextlib.suppress(Exception):
+                    lane.wait()  # the helper is done with the sums before this raises
+                raise
+            lane.wait()
+        # Added in block order, whichever thread ran each block, and not by
+        # sum(), which compensates its rounding from Python 3.12 on.
         total = 0.0
-        for start in range(0, len(positions), _LOSS_BLOCK_ROWS):
-            ctx, tgt = self._batch(positions[start:start + _LOSS_BLOCK_ROWS])
-            *_, shifted, logsum = self._forward(params, ctx, [b[:len(tgt)] for b in bufs])
-            total += float(self._target_logp(shifted, logsum, tgt).sum())
+        for block_sum in sums:
+            total += block_sum
         return -total / len(positions)
 
     def loss_and_grads(self, params, indices):
@@ -260,11 +322,11 @@ class CharMlp:
             "b2": grad_b2,
         }
 
-    def train_loss(self, params) -> float:
-        return self._loss(params, self._train_positions)
+    def train_loss(self, params, lane=None) -> float:
+        return self._loss(params, self._train_positions, lane)
 
-    def eval_loss(self, params) -> float:
-        return self._loss(params, self._eval_positions)
+    def eval_loss(self, params, lane=None) -> float:
+        return self._loss(params, self._eval_positions, lane)
 
 
 def make_task(name: str, seed: int, corpus_path: str | None = None):

@@ -10,16 +10,21 @@ bit-reproduces every recorded row on the same platform and BLAS build (a
 run pins one BLAS thread per call). Wall time is kept on the record object
 but never serialized, so output files stay byte-stable.
 
-A run steps its matrix parameters on at most one helper thread (a
-dense.Lane opened once per run and joined when the run ends; see
-_offloaded and _step_params). The steps share nothing within a step, so
-when the exponent is not one, the run has two or more matrix parameters
-and the process may use two or more CPUs, the helper steps all but the
-costliest of them while the calling thread steps that one, and the X folds
-of its inverse-root passes queue on the helper behind the others' steps.
-At most two threads make BLAS calls at once. Each step is the same
-computation on the same inputs whichever thread runs it, so a run's rows
-do not depend on the CPU count.
+A run has at most one helper thread (a dense.Lane opened before the
+step-0 row and joined when the run ends), and only when the process may
+use two or more CPUs. It has two uses:
+- Matrix steps (see _offloaded and _step_params). The steps share nothing
+  within a step, so when the exponent is not one and the run has two or
+  more matrix parameters, the helper steps all but the costliest of them
+  while the calling thread steps that one, and the X folds of its
+  inverse-root passes queue on the helper behind the others' steps.
+- Eval rows. When the task's training split spans two full row blocks
+  (task.splits_train_loss; charlm's does, matreg's does not), every row's
+  train_loss runs half of its blocks on the helper.
+At most two threads make BLAS calls at once. Each step and each block is
+the same computation on the same inputs whichever thread runs it, and the
+block sums are added in one order, so a run's rows do not depend on the
+CPU count.
 """
 
 from __future__ import annotations
@@ -301,20 +306,21 @@ def _safe_loss(fn) -> float:
 
 
 def _offloaded(params: Mapping[str, np.ndarray], matrix_names: list[str],
-               exponent: SpectralExponent) -> list[str]:
+               exponent: SpectralExponent, lanes: int) -> list[str]:
     """The matrix parameters the run's helper thread steps, in sorted order;
-    [] when the run gets no helper.
+    [] when no matrix step goes to a helper (the run may still have one for
+    its eval rows, see run_training).
 
-    It gets one when the exponent is not one (the identity runs no kernel),
-    it has two or more matrix parameters and the process may use two or
-    more CPUs (dense.step_lanes, read here once per run). The helper steps
+    Steps go to a helper when the exponent is not one (the identity runs no
+    kernel), the run has two or more matrix parameters and ``lanes``
+    (dense.step_lanes, read once per run) is two or more. The helper steps
     every matrix parameter but the costliest, which the calling thread
     steps. Every kernel product is n x n on a matrix's small side n, so a
     step costs about n cubed; ties go by name. Both built-in tasks need no
     more: on charlm W1 (128 wide) bounds the step while W2, the embedding
     and W1's folds fit beside it on the helper, and matreg has one matrix.
     """
-    if exponent is SpectralExponent.ONE or len(matrix_names) < 2 or dense.step_lanes() < 2:
+    if exponent is SpectralExponent.ONE or len(matrix_names) < 2 or lanes < 2:
         return []
     costliest = min(matrix_names, key=lambda name: (-min(params[name].shape), name))
     return [name for name in matrix_names if name != costliest]
@@ -323,17 +329,17 @@ def _offloaded(params: Mapping[str, np.ndarray], matrix_names: list[str],
 def _step_params(params, grads, states, matrix_names, helper, offloaded, optimizer, hp) -> None:
     """One step of every parameter, assigned in sorted name order.
 
-    Without a helper every step runs on the calling thread in that order,
-    so a step that raises leaves the names before it stepped and the ones
-    after it with their old values. With one, _steps_beside runs the matrix
-    steps first, and each name's outcome, value or failure, comes out at
-    its turn, so the parameters end as in one serial pass.
+    Without offloaded names every step runs on the calling thread in that
+    order, so a step that raises leaves the names before it stepped and the
+    ones after it with their old values. With them, _steps_beside runs the
+    matrix steps first, and each name's outcome, value or failure, comes
+    out at its turn, so the parameters end as in one serial pass.
     """
     def matrix_step(name):
         return step_matrix_param(params[name], grads[name], states[name],
                                  optimizer, hp, param_name=name)
 
-    if helper is not None:
+    if offloaded:
         matrix_step = _steps_beside(helper, offloaded, matrix_names, matrix_step)
     for name in sorted(params):
         if name in matrix_names:
@@ -389,7 +395,10 @@ def run_training(cfg: TrainConfig) -> RunRecord:
     gradient error inside a step) ends the run with outcome "diverged" and
     a final row carrying the offending loss; it never raises. Its BLAS calls
     run on one thread (a count the caller's other threads share), restored
-    on every exit once its helper thread, if it has one, is joined.
+    on every exit once its helper thread, if it has one, is joined. The
+    helper is opened before the step-0 row when the process may use two or
+    more CPUs and either some matrix steps go to it (_offloaded) or the
+    task's train_loss splits its blocks with it (task.splits_train_loss).
     """
     start = time.perf_counter()
     task = make_task(cfg.task, cfg.seed, cfg.corpus_path)
@@ -402,16 +411,18 @@ def run_training(cfg: TrainConfig) -> RunRecord:
         for name, p in params.items()
     }
 
-    initial_loss = task.train_loss(params)
-    threshold = cfg.divergence_threshold
-    if threshold is None:
-        threshold = 10.0 * initial_loss
-    record = RunRecord(config_digest=config_digest(cfg))
-    record.rows.append(EvalRow(0, initial_loss, task.eval_loss(params), 0.0))
+    lanes = dense.step_lanes()
+    offloaded = _offloaded(params, matrix_names, cfg.optimizer.exponent, lanes)
+    has_helper = lanes >= 2 and bool(offloaded or task.splits_train_loss)
+    with dense.Lane(True, "specopt-step") if has_helper else contextlib.nullcontext() as helper:
+        initial_loss = task.train_loss(params, helper)
+        threshold = cfg.divergence_threshold
+        if threshold is None:
+            threshold = 10.0 * initial_loss
+        record = RunRecord(config_digest=config_digest(cfg))
+        record.rows.append(EvalRow(0, initial_loss, task.eval_loss(params, helper), 0.0))
 
-    batches = _BatchStream(task.num_train, cfg.batch_size, seeded_rng(cfg.seed, 2))
-    offloaded = _offloaded(params, matrix_names, cfg.optimizer.exponent)
-    with dense.Lane(True, "specopt-step") if offloaded else contextlib.nullcontext() as helper:
+        batches = _BatchStream(task.num_train, cfg.batch_size, seeded_rng(cfg.seed, 2))
         for step in range(1, cfg.total_steps + 1):
             lr_eff = float(lr_at(cfg, step))
             hp_step = replace(cfg.hp, lr_mat=lr_eff)
@@ -430,13 +441,13 @@ def run_training(cfg: TrainConfig) -> RunRecord:
             if diverged:
                 record.outcome = DIVERGED
                 record.diverged_step = step
-                record.rows.append(
-                    EvalRow(step, float(loss), _safe_loss(lambda: task.eval_loss(params)), lr_eff)
-                )
+                record.rows.append(EvalRow(
+                    step, float(loss), _safe_loss(lambda: task.eval_loss(params, helper)), lr_eff,
+                ))
                 break
             if step % cfg.eval_every == 0 or step == cfg.total_steps:
-                record.rows.append(
-                    EvalRow(step, task.train_loss(params), task.eval_loss(params), lr_eff)
-                )
+                record.rows.append(EvalRow(
+                    step, task.train_loss(params, helper), task.eval_loss(params, helper), lr_eff,
+                ))
     record.wall_time = time.perf_counter() - start
     return record

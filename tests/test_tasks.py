@@ -1,8 +1,12 @@
 """Task encodings, splits, and hand-derived gradients vs finite differences."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from specopt import dense
 from specopt.errors import ConfigError
 from specopt.tasks import (
     _GELU_C,
@@ -220,6 +224,18 @@ def one_shot_loss(task, params, positions):
     return -float(logp[np.arange(len(tgt)), tgt].mean())
 
 
+class CountingLane(dense.Lane):
+    """A helper lane that counts the calls pushed to it."""
+
+    def __init__(self):
+        super().__init__(True, "specopt-test")
+        self.pushed = 0
+
+    def push(self, fn, *args):
+        self.pushed += 1
+        super().push(fn, *args)
+
+
 @pytest.mark.parametrize("corpus", [None, TINY_CORPUS[:300]], ids=["builtin", "under-one-block"])
 def test_charlm_blocked_losses_match_one_shot_pass(corpus):
     task = CharMlp(0, corpus_text=corpus)
@@ -229,12 +245,69 @@ def test_charlm_blocked_losses_match_one_shot_pass(corpus):
         assert task.num_train > _LOSS_BLOCK_ROWS and task.num_train % _LOSS_BLOCK_ROWS != 0
     else:
         assert task.num_train < _LOSS_BLOCK_ROWS
-    for got, positions in (
-        (task.train_loss(params), task._train_positions),
-        (task.eval_loss(params), task._eval_positions),
-    ):
-        want = one_shot_loss(task, params, positions)
-        assert abs(got - want) <= 1e-12 * abs(want)
+    with dense.one_blas_thread(), CountingLane() as lane:
+        for loss, positions in (
+            (task.train_loss, task._train_positions),
+            (task.eval_loss, task._eval_positions),
+        ):
+            want = one_shot_loss(task, params, positions)
+            for got in (loss(params), loss(params, lane)):
+                assert abs(got - want) <= 1e-12 * abs(want)
+    assert lane.pushed == (1 if corpus is None else 0)
+
+
+def test_only_a_split_of_two_full_blocks_pushes_to_the_lane():
+    """The held-out split (one full block and 73 rows), a corpus under one
+    block and matreg's splits run inline; from 1024 rows on, one call takes
+    the later half of the blocks."""
+    builtin, tiny = CharMlp(0), CharMlp(0, corpus_text=TINY_CORPUS[:300])
+    matreg = MatrixRegression(0)
+    assert builtin.splits_train_loss
+    assert not tiny.splits_train_loss and not matreg.splits_train_loss
+    params = builtin.init_params(np.random.default_rng(1))
+    tiny_params = tiny.init_params(np.random.default_rng(1))
+    matreg_params = matreg.init_params(np.random.default_rng(1))
+    with dense.one_blas_thread(), CountingLane() as lane:
+        builtin.eval_loss(params, lane)
+        tiny.train_loss(tiny_params, lane)
+        tiny.eval_loss(tiny_params, lane)
+        matreg.train_loss(matreg_params, lane)
+        matreg.eval_loss(matreg_params, lane)
+        builtin._loss(params, builtin._train_positions[:2 * _LOSS_BLOCK_ROWS - 1], lane)
+        assert lane.pushed == 0
+        builtin._loss(params, builtin._train_positions[:2 * _LOSS_BLOCK_ROWS], lane)
+        assert lane.pushed == 1
+        builtin.train_loss(params, lane)
+        assert lane.pushed == 2
+
+
+@pytest.mark.parametrize("failing, message", [
+    pytest.param("both-halves", "overflow encountered", id="both-halves"),
+    pytest.param("helpers-half", "the helper's half", id="helpers-half"),
+])
+def test_a_failing_half_reraises_from_train_loss_and_leaves_the_lane_clean(monkeypatch, failing,
+                                                                           message):
+    task = CharMlp(0)
+    params = task.init_params(np.random.default_rng(2))
+    want = task.train_loss(params)
+    broken = params
+    if failing == "both-halves":  # the caller's failure wins; the helper's is dropped
+        broken = dict(params, embed=np.full_like(params["embed"], 1e300), W1=abs(params["W1"]))
+    else:
+        real = task._forward
+
+        def forward(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("overflow in the helper's half")
+            return real(*args)
+
+        monkeypatch.setattr(task, "_forward", forward)
+    with dense.one_blas_thread(), dense.Lane(True, "specopt-test") as lane:
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match=message):
+            task.train_loss(broken, lane)
+        lane.wait()  # raises nothing: no failure and no call is left on the lane
+        monkeypatch.undo()
+        assert task.train_loss(params, lane) == want
 
 
 def per_block_reference_loss(task, params, positions):
@@ -262,18 +335,52 @@ def per_block_reference_loss(task, params, positions):
 
 
 def test_charlm_losses_reuse_one_workspace_bit_for_bit():
+    """Each thread's blocks share one two-array workspace, and the train
+    split's blocks split between the caller and a helper lane: each split,
+    inline and with the lane, has the fresh-array loss's bits."""
     task = CharMlp(0)
     # Both splits end in a short block: 5266 = 10 * 512 + 146, 585 = 512 + 73.
     assert (task.num_train, len(task._eval_positions)) == (5266, 585)
     rng = np.random.default_rng(3)
     params = task.init_params(rng)
-    for step in range(4):
-        assert task.train_loss(params) == per_block_reference_loss(
-            task, params, task._train_positions), step
-        assert task.eval_loss(params) == per_block_reference_loss(
-            task, params, task._eval_positions), step
-        _, grads = task.loss_and_grads(params, rng.choice(task.num_train, 64, replace=False))
-        params = {name: p - 0.5 * grads[name] for name, p in params.items()}
+    with dense.one_blas_thread(), dense.Lane(True, "specopt-test") as lane:
+        for step in range(4):
+            for loss, positions in ((task.train_loss, task._train_positions),
+                                    (task.eval_loss, task._eval_positions)):
+                want = per_block_reference_loss(task, params, positions)
+                assert loss(params) == want, step
+                assert loss(params, lane) == want, step
+            _, grads = task.loss_and_grads(params, rng.choice(task.num_train, 64, replace=False))
+            params = {name: p - 0.5 * grads[name] for name, p in params.items()}
+
+
+def test_concurrent_split_losses_keep_their_bits():
+    """Three callers, each with its own helper lane (six threads on fewer
+    CPUs), switching threads every few microseconds: every train_loss still
+    has the one-thread loss's bits, so no two calls share a workspace or a
+    block sum."""
+    task = CharMlp(0)
+    params = task.init_params(np.random.default_rng(4))
+    want = task.train_loss(params)
+    got = []
+
+    def caller():
+        with dense.Lane(True, "specopt-test") as lane:
+            got.extend(task.train_loss(params, lane) for _ in range(5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with dense.one_blas_thread():
+            threads = [threading.Thread(target=caller) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want] * 15
 
 
 def test_charlm_loss_is_deterministic():

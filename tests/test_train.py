@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specopt import dense, kernels, train
+from specopt import dense, kernels, tasks, train
 from specopt.errors import ConfigError, KernelDivergenceError
 from specopt.optim import ALL_OPTIMIZERS, HyperParams, OptimizerState, parse_optimizer
 from specopt.sweep import SweepPlan
@@ -282,10 +282,9 @@ def test_adam_run_matches_a_from_scratch_reimplementation():
 
 # --- concurrent matrix steps ------------------------------------------------
 
-SPECTRAL = [kind.token for kind in ALL_OPTIMIZERS if kind.exponent.value != "one"]
 # A peak matrix rate inside each optimizer's stable region on charlm; 300x it diverges.
-CHARLM_LR = {"msgds": 0.3, "msgdq": 0.1, "msgdz": 0.03, "adams": 0.01, "adamq": 0.01,
-             "adamz": 0.03}
+CHARLM_LR = {"msgd": 3.0, "msgds": 0.3, "msgdq": 0.1, "msgdz": 0.03, "adam": 0.003,
+             "adams": 0.01, "adamq": 0.01, "adamz": 0.03}
 
 
 def charlm_config(token, lr, **overrides):
@@ -360,16 +359,16 @@ for kind in ALL_OPTIMIZERS:
     assert two == one
 
 
-def test_the_costliest_matrix_steps_on_the_caller_and_the_rest_on_one_helper(monkeypatch):
+def test_the_costliest_matrix_steps_on_the_caller_and_the_rest_on_one_helper():
     shapes = {"a": (8, 8), "b": (8, 8), "c": (4, 90), "w": (9, 3)}
     params = {name: np.zeros(shape) for name, shape in shapes.items()}
     names = sorted(params)
+    spectral, identity = parse_optimizer("adams").exponent, parse_optimizer("adam").exponent
     for lanes, want in ((1, []), (2, ["b", "c", "w"]), (3, ["b", "c", "w"]), (9, ["b", "c", "w"])):
-        monkeypatch.setattr(dense, "step_lanes", lambda: lanes)
-        assert train._offloaded(params, names, parse_optimizer("adams").exponent) == want
-        assert train._offloaded(params, names, parse_optimizer("adam").exponent) == []
-        assert train._offloaded(params, ["a"], parse_optimizer("adams").exponent) == []
-    assert train._offloaded(params, ["c", "w"], parse_optimizer("adams").exponent) == ["w"]
+        assert train._offloaded(params, names, spectral, lanes) == want
+        assert train._offloaded(params, names, identity, lanes) == []
+        assert train._offloaded(params, ["a"], spectral, lanes) == []
+    assert train._offloaded(params, ["c", "w"], spectral, 2) == ["w"]
 
 
 def run_on(monkeypatch, lanes, cfg):
@@ -395,9 +394,10 @@ def step_lanes_opened(monkeypatch):
     return opened
 
 
-@pytest.mark.parametrize("token", SPECTRAL)
+@pytest.mark.parametrize("token", [kind.token for kind in ALL_OPTIMIZERS])
 def test_rows_do_not_depend_on_the_cpu_count(monkeypatch, step_lanes_opened, token):
-    """One helper lane per run from two lanes on, none at one."""
+    """One helper lane per charlm run from two lanes on, none at one: it
+    steps matrices (p != 1) and runs half of each train_loss's blocks."""
     for lr, outcome in ((CHARLM_LR[token], COMPLETED), (300 * CHARLM_LR[token], DIVERGED)):
         cfg = charlm_config(token, lr)
         rows = []
@@ -412,12 +412,21 @@ def test_rows_do_not_depend_on_the_cpu_count(monkeypatch, step_lanes_opened, tok
 
 @pytest.mark.parametrize("task, token", [("charlm", "msgd"), ("charlm", "adam"),
                                          ("matreg", "msgdq"), ("matreg", "adamz")])
-def test_identity_exponent_and_single_matrix_runs_start_no_thread(monkeypatch, step_lanes_opened,
-                                                                  task, token):
+def test_identity_and_single_matrix_runs_open_a_helper_only_for_charlm_rows(
+        monkeypatch, step_lanes_opened, task, token):
+    """No matrix step goes to a helper here. charlm's training split spans
+    two full row blocks, so from two lanes on its runs open one helper for
+    their eval rows; matreg's does not, and one lane opens none."""
+    events = []
+    spy_on_the_step_lane(monkeypatch, events)
     cfg = charlm_config(token, 0.01, task=task)
-    record = run_on(monkeypatch, 4, cfg)
-    assert record.outcome == COMPLETED
-    assert step_lanes_opened == []
+    for lanes in (1, 2, 4):
+        assert run_on(monkeypatch, lanes, cfg).outcome == COMPLETED
+        helper = task == "charlm" and lanes >= 2
+        assert step_lanes_opened == ([("specopt-step", True)] if helper else [])
+        step_lanes_opened.clear()
+    rows = 1 + cfg.total_steps // cfg.eval_every  # train_loss calls a run
+    assert events == [("rows", "MainThread", "specopt-step")] * (2 * rows if task == "charlm" else 0)
 
 
 def record_matrix_steps(monkeypatch, events):
@@ -433,8 +442,10 @@ def record_matrix_steps(monkeypatch, events):
 
 def spy_on_the_step_lane(monkeypatch, events):
     """Append ("push", name) to ``events`` for each matrix step pushed to the
-    run's helper, and ("fold", pushing thread, running thread) for each other
-    call pushed to it: a fold of X."""
+    run's helper; ("rows", pushing thread, running thread) for each share of
+    a loss's row blocks pushed to it (a range of block indices); and
+    ("fold", pushing thread, running thread) for each other call pushed to
+    it: a fold of X."""
     step_lanes, init, push = set(), dense.Lane.__init__, dense.Lane.push
 
     def opening(self, helper, name):
@@ -446,13 +457,14 @@ def spy_on_the_step_lane(monkeypatch, events):
         if self in step_lanes and isinstance(args[0], str):
             events.append(("push", args[0]))
         elif self in step_lanes:
+            kind = "rows" if isinstance(args[0], range) else "fold"
             pusher = threading.current_thread().name
 
-            def fold(*args):
-                events.append(("fold", pusher, threading.current_thread().name))
+            def spied(*args):
+                events.append((kind, pusher, threading.current_thread().name))
                 return fn(*args)
 
-            return push(self, fold, *args)
+            return push(self, spied, *args)
         return push(self, fn, *args)
 
     monkeypatch.setattr(dense.Lane, "__init__", opening)
@@ -508,6 +520,38 @@ def test_a_run_folds_the_callers_x_on_its_one_helper(monkeypatch, token, lanes):
     folds = [event for event in events if event[0] == "fold"]
     assert len(folds) >= cfg.total_steps  # a fold or more a pass
     assert set(folds) == {("fold", "MainThread", "specopt-step")}
+    rows = [event for event in events if event[0] == "rows"]
+    assert rows == [("rows", "MainThread", "specopt-step")] * (1 + cfg.total_steps // 10)
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_no_public_task_method_runs_off_the_calling_thread(monkeypatch, lanes):
+    """The helper runs forward passes of each train_loss, never a task's
+    public method, so a wrapper on those (a profiler's, a benchmark's
+    timestamps) sees each call whole, on the thread that called it."""
+    threads = {}
+
+    def watch(cls, attr):
+        real = getattr(cls, attr)
+
+        def watched(*args, **kwargs):
+            threads.setdefault((cls.name, attr), set()).add(threading.current_thread().name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, watched)
+
+    public = ("init_params", "loss_and_grads", "train_loss", "eval_loss")
+    for cls in (tasks.CharMlp, tasks.MatrixRegression):
+        for attr in public:
+            watch(cls, attr)
+    watch(tasks.CharMlp, "_forward")
+    for task, token in (("charlm", "msgd"), ("charlm", "msgds"), ("matreg", "adams")):
+        assert run_on(monkeypatch, lanes, charlm_config(token, CHARLM_LR[token], task=task)
+                      ).outcome == COMPLETED
+    forward = threads.pop(("charlm", "_forward"))
+    assert threads == {(task, attr): {"MainThread"}
+                       for task in ("charlm", "matreg") for attr in public}
+    assert forward == ({"MainThread"} if lanes == 1 else {"MainThread", "specopt-step"})
 
 
 def capture_params(monkeypatch):
@@ -590,7 +634,7 @@ def test_a_fold_failing_behind_a_failed_pass_is_dropped(monkeypatch):
         return real_residual(m, *rest)
 
     def failing_fold(self, fn, *args):
-        if isinstance(args[0], str):
+        if isinstance(args[0], (str, range)):  # a matrix step or a loss's row blocks
             return push(self, fn, *args)
         return push(self, lambda *_: 1 / 0)
 
