@@ -1,5 +1,6 @@
 """Dense float64 matrices, the plain-text matrix format, and the threads
-that make BLAS calls: the one-thread pin, the lane count and Lane.
+that make BLAS calls: the one-thread pin, the lane count and Lane, the one
+owner of helper threads, which kernels and tasks find through helper().
 
 Matrices are ordinary numpy arrays: 2-D, float64, C (row-major) order.
 Products on the per-step path are written ``a.dot(b)`` rather than
@@ -71,36 +72,53 @@ def one_blas_thread():
             set_(_found.pop())
 
 
-class Lane(contextlib.AbstractContextManager):
-    """Runs pushed calls in push order: on one helper thread named ``name``,
-    each in a copy of the context it was pushed from (numpy's error state is
-    a context variable), or at once on the caller's when ``helper`` is false.
+_HELPER = contextvars.ContextVar("specopt_helper", default=None)
 
+
+def helper() -> Lane | None:
+    """The Lane of the innermost ``with`` block open in this context; None
+    outside every block and in the calls that a lane's thread runs, so no
+    call can push to the thread that runs it."""
+    return _HELPER.get()
+
+
+class Lane(contextlib.AbstractContextManager):
+    """Runs pushed calls in push order: on a helper thread named ``name``,
+    each in a copy of the context it was pushed from (numpy's error state is
+    a context variable), or at once on the caller's thread.
+
+    A lane has a thread only when ``threaded`` is true and step_lanes() is
+    two or more, and starts it at its first push, so a lane that nobody
+    pushes to starts none. Inside its ``with`` block the lane is helper().
     wait() returns the last call's value, or re-raises the first failure
     since the previous wait() and skips the calls after it. Leaving the
-    ``with`` block joins the thread on every exit; a wait() after it reads
-    what the thread left. run_training opens at most one per run, a helper
-    for the steps of all but its costliest matrix, the X folds of that
-    matrix's inverse-root passes and half the row blocks of each eval
-    row's train_loss; a pass called outside a training step opens one per
-    call, for its folds.
+    block joins the thread on every exit; a wait() after it reads what the
+    thread left. run_training opens one for the whole run, and an
+    inverse-root pass 128 or more wide that finds no helper() opens one for
+    the call.
     """
 
-    def __init__(self, helper: bool, name: str):
+    def __init__(self, name: str, threaded: bool = True):
+        self._name = name
         self._value = self._error = None  # the last call's value, the first failure
-        self._pending = 0  # calls pushed to the helper since the last wait()
-        self._calls = queue.SimpleQueue() if helper else None
-        if helper:
-            self._ran = queue.SimpleQueue()  # one item per call the helper has run
-            self._thread = threading.Thread(target=self._serve, name=name)
-            self._thread.start()
+        self._pending = 0  # calls pushed to the thread since the last wait()
+        self._threaded = threaded and step_lanes() >= 2
+        self._thread = None
+
+    def __enter__(self) -> Lane:
+        self._token = _HELPER.set(self)
+        return self
 
     def push(self, fn, *args) -> None:
-        if self._calls is None:
+        if not self._threaded:
             self._run(fn, args)
-        else:
-            self._pending += 1
-            self._calls.put((contextvars.copy_context(), fn, args))
+            return
+        if self._thread is None:
+            self._calls, self._ran = queue.SimpleQueue(), queue.SimpleQueue()
+            self._thread = threading.Thread(target=self._serve, name=self._name)
+            self._thread.start()
+        self._pending += 1
+        self._calls.put((contextvars.copy_context(), fn, args))
 
     def wait(self):
         for _ in range(self._pending):
@@ -121,11 +139,13 @@ class Lane(contextlib.AbstractContextManager):
     def _serve(self) -> None:
         while (call := self._calls.get()) is not None:
             context, fn, args = call
+            context.run(_HELPER.set, None)
             context.run(self._run, fn, args)
             self._ran.put(None)
 
     def __exit__(self, *exc_info) -> None:
-        if self._calls is not None:
+        _HELPER.reset(self._token)
+        if self._thread is not None:
             self._calls.put(None)
             self._thread.join()
 

@@ -4,14 +4,13 @@ Both tasks expose the same small surface the harness drives:
 
     params = task.init_params(rng)
     loss, grads = task.loss_and_grads(params, indices)
-    task.train_loss(params, lane), task.eval_loss(params, lane)
-    task.num_train, task.splits_train_loss
+    task.train_loss(params), task.eval_loss(params)
+    task.num_train
 
-Given a dense.Lane helper, a whole-split loss of two or more full row
-blocks runs half of them on it, with the same bits as on one thread;
-task.splits_train_loss says whether train_loss is that large. The helper
-runs only private methods, so a wrapper on the public ones sees each call
-whole, on the calling thread.
+Inside an open dense.Lane (dense.helper()), a whole-split loss of two or
+more full row blocks runs half of them on that lane, with the same bits as
+on one thread. The lane runs only private methods, so a wrapper on the
+public ones sees each call whole, on the calling thread.
 
 Parameters are dicts of numpy arrays. Weight matrices are stored with
 fan_out as the row count and fan_in as the column count
@@ -29,6 +28,7 @@ from importlib import resources
 
 import numpy as np
 
+from . import dense
 from .errors import ConfigError
 
 VOCAB_SIZE = 96  # newline plus printable ASCII 32..126
@@ -101,7 +101,6 @@ class MatrixRegression:
     """
 
     name = "matreg"
-    splits_train_loss = False  # 40 rows: one pass, never worth a helper
     _DATA_ROWS = 48
     _EVAL_ROWS = 8
     _W_SHAPE = (32, 24)
@@ -134,12 +133,10 @@ class MatrixRegression:
     def loss_and_grads(self, params, indices):
         return self._loss_grad_rows(params, np.asarray(indices))
 
-    def train_loss(self, params, lane=None) -> float:
-        del lane  # one pass: nothing to split
+    def train_loss(self, params) -> float:
         return self._loss_grad_rows(params, np.arange(self.num_train))[0]
 
-    def eval_loss(self, params, lane=None) -> float:
-        del lane
+    def eval_loss(self, params) -> float:
         rows = np.arange(self.num_train, self.targets.shape[0])
         return self._loss_grad_rows(params, rows)[0]
 
@@ -176,12 +173,6 @@ class CharMlp:
         self._eval_positions = positions[:n_eval]
         self._train_positions = positions[n_eval:]
         self.num_train = self._train_positions.shape[0]
-
-    @property
-    def splits_train_loss(self) -> bool:
-        """Whether train_loss spans two full row blocks, so that a lane
-        given to it takes half of them."""
-        return self.num_train >= _SPLIT_ROWS
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         feat = self.context * self.emb_dim
@@ -254,13 +245,13 @@ class CharMlp:
         # Gather the target column first: the full log-softmax is never built.
         return shifted[np.arange(len(tgt)), tgt] - logsum[:, 0]
 
-    def _loss(self, params, positions, lane) -> float:
+    def _loss(self, params, positions) -> float:
         # Fixed row blocks keep the arrays of a full-split pass small, and
         # each thread's blocks reuse one two-array set: fresh arrays per
         # block made glibc hand their pages back to the OS and fault them in
         # again (5.9k minor faults an eval row, against 1.4k with one
-        # seven-array set per call). From two full blocks on, a lane runs
-        # the later half of them beside the calling thread.
+        # seven-array set per call). From two full blocks on, dense.helper()
+        # runs the later half of them beside the calling thread.
         starts = range(0, len(positions), _LOSS_BLOCK_ROWS)
         sums = [0.0] * len(starts)
 
@@ -271,7 +262,7 @@ class CharMlp:
                 *_, shifted, logsum = self._forward(params, ctx, [b[:len(tgt)] for b in bufs])
                 sums[i] = float(self._target_logp(shifted, logsum, tgt).sum())
 
-        blocks = range(len(starts))
+        blocks, lane = range(len(starts)), dense.helper()
         if lane is None or len(positions) < _SPLIT_ROWS:
             run(blocks)
         else:
@@ -322,16 +313,18 @@ class CharMlp:
             "b2": grad_b2,
         }
 
-    def train_loss(self, params, lane=None) -> float:
-        return self._loss(params, self._train_positions, lane)
+    def train_loss(self, params) -> float:
+        return self._loss(params, self._train_positions)
 
-    def eval_loss(self, params, lane=None) -> float:
-        return self._loss(params, self._eval_positions, lane)
+    def eval_loss(self, params) -> float:
+        return self._loss(params, self._eval_positions)
 
 
 def make_task(name: str, seed: int, corpus_path: str | None = None):
     """Build a task by its config token."""
     if name == MatrixRegression.name:
+        if corpus_path is not None:
+            raise ConfigError(f"corpus: only task charlm reads a corpus, not {name}")
         return MatrixRegression(seed)
     if name == CharMlp.name:
         text = None

@@ -10,17 +10,19 @@ bit-reproduces every recorded row on the same platform and BLAS build (a
 run pins one BLAS thread per call). Wall time is kept on the record object
 but never serialized, so output files stay byte-stable.
 
-A run has at most one helper thread (a dense.Lane opened before the
-step-0 row and joined when the run ends), and only when the process may
-use two or more CPUs. It has two uses:
+Every run opens one dense.Lane, "specopt-step", before the step-0 row and
+joins it when the run ends; dense.Lane decides whether it has a thread
+(two or more CPUs) and starts it at the first push, so a run that pushes
+nothing (every matreg run) starts none. Inside the run the lane is
+dense.helper(), which takes three kinds of call:
 - Matrix steps (see _offloaded and _step_params). The steps share nothing
   within a step, so when the exponent is not one and the run has two or
-  more matrix parameters, the helper steps all but the costliest of them
-  while the calling thread steps that one, and the X folds of its
-  inverse-root passes queue on the helper behind the others' steps.
-- Eval rows. When the task's training split spans two full row blocks
-  (task.splits_train_loss; charlm's does, matreg's does not), every row's
-  train_loss runs half of its blocks on the helper.
+  more matrix parameters, the lane steps all but the costliest of them
+  while the calling thread steps that one.
+- X folds. The calling thread's inverse-root passes from 128 wide queue
+  their folds on the lane behind those steps.
+- Eval rows. A whole-split loss of two full row blocks or more (charlm's
+  train_loss) runs half of its blocks on the lane.
 At most two threads make BLAS calls at once. Each step and each block is
 the same computation on the same inputs whichever thread runs it, and the
 block sums are added in one order, so a run's rows do not depend on the
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import dense
 from .errors import ConfigError, ToolkitError
-from .kernels import SpectralExponent, folds_on
+from .kernels import SpectralExponent
 from .optim import (
     HyperParams,
     InputKind,
@@ -306,27 +308,26 @@ def _safe_loss(fn) -> float:
 
 
 def _offloaded(params: Mapping[str, np.ndarray], matrix_names: list[str],
-               exponent: SpectralExponent, lanes: int) -> list[str]:
-    """The matrix parameters the run's helper thread steps, in sorted order;
-    [] when no matrix step goes to a helper (the run may still have one for
-    its eval rows, see run_training).
+               exponent: SpectralExponent) -> list[str]:
+    """The matrix parameters the run's lane steps, in sorted order; [] when
+    no matrix step goes to it.
 
-    Steps go to a helper when the exponent is not one (the identity runs no
-    kernel), the run has two or more matrix parameters and ``lanes``
-    (dense.step_lanes, read once per run) is two or more. The helper steps
-    every matrix parameter but the costliest, which the calling thread
-    steps. Every kernel product is n x n on a matrix's small side n, so a
-    step costs about n cubed; ties go by name. Both built-in tasks need no
-    more: on charlm W1 (128 wide) bounds the step while W2, the embedding
-    and W1's folds fit beside it on the helper, and matreg has one matrix.
+    Steps go to the lane when the exponent is not one (the identity runs no
+    kernel) and the run has two or more matrix parameters; a lane without a
+    thread runs them at once. The lane steps every matrix parameter but the
+    costliest, which the calling thread steps. Every kernel product is
+    n x n on a matrix's small side n, so a step costs about n cubed; ties go
+    by name. Both built-in tasks need no more: on charlm W1 (128 wide)
+    bounds the step while W2, the embedding and W1's folds fit beside it on
+    the lane, and matreg has one matrix.
     """
-    if exponent is SpectralExponent.ONE or len(matrix_names) < 2 or lanes < 2:
+    if exponent is SpectralExponent.ONE or len(matrix_names) < 2:
         return []
     costliest = min(matrix_names, key=lambda name: (-min(params[name].shape), name))
     return [name for name in matrix_names if name != costliest]
 
 
-def _step_params(params, grads, states, matrix_names, helper, offloaded, optimizer, hp) -> None:
+def _step_params(params, grads, states, matrix_names, offloaded, optimizer, hp) -> None:
     """One step of every parameter, assigned in sorted name order.
 
     Without offloaded names every step runs on the calling thread in that
@@ -340,7 +341,7 @@ def _step_params(params, grads, states, matrix_names, helper, offloaded, optimiz
                                  optimizer, hp, param_name=name)
 
     if offloaded:
-        matrix_step = _steps_beside(helper, offloaded, matrix_names, matrix_step)
+        matrix_step = _steps_beside(offloaded, matrix_names, matrix_step)
     for name in sorted(params):
         if name in matrix_names:
             params[name], states[name], _ = matrix_step(name)
@@ -350,18 +351,18 @@ def _step_params(params, grads, states, matrix_names, helper, offloaded, optimiz
             )
 
 
-def _steps_beside(helper, offloaded, matrix_names, matrix_step):
-    """Run every matrix step: ``offloaded`` pushed to ``helper`` in order,
-    then the rest on the calling thread, their inverse-root passes folding
-    X on ``helper`` behind those steps (kernels.folds_on). Returns a
-    function that hands out a name's result, or re-raises its failure.
+def _steps_beside(offloaded, matrix_names, matrix_step):
+    """Run every matrix step: ``offloaded`` pushed to dense.helper() in
+    order, then the rest on the calling thread, their inverse-root passes
+    folding X on the same lane behind those steps. Returns a function that
+    hands out a name's result, or re-raises its failure.
 
     A helper step's failure is kept for its name, never left on the lane,
     so a pass's wait() on the lane sees only its folds. A fold can fail
     unwaited only behind a pass that raised, so that name's failure is
     already kept and the fold's is dropped.
     """
-    outcomes = {}
+    helper, outcomes = dense.helper(), {}
 
     def keep(name):
         try:
@@ -371,10 +372,9 @@ def _steps_beside(helper, offloaded, matrix_names, matrix_step):
 
     for name in offloaded:
         helper.push(keep, name)
-    with folds_on(helper):
-        for name in matrix_names:
-            if name not in offloaded:
-                keep(name)
+    for name in matrix_names:
+        if name not in offloaded:
+            keep(name)
     with contextlib.suppress(Exception):
         helper.wait()
 
@@ -395,10 +395,8 @@ def run_training(cfg: TrainConfig) -> RunRecord:
     gradient error inside a step) ends the run with outcome "diverged" and
     a final row carrying the offending loss; it never raises. Its BLAS calls
     run on one thread (a count the caller's other threads share), restored
-    on every exit once its helper thread, if it has one, is joined. The
-    helper is opened before the step-0 row when the process may use two or
-    more CPUs and either some matrix steps go to it (_offloaded) or the
-    task's train_loss splits its blocks with it (task.splits_train_loss).
+    on every exit once the run's lane, and its thread if it started one, is
+    joined.
     """
     start = time.perf_counter()
     task = make_task(cfg.task, cfg.seed, cfg.corpus_path)
@@ -411,16 +409,14 @@ def run_training(cfg: TrainConfig) -> RunRecord:
         for name, p in params.items()
     }
 
-    lanes = dense.step_lanes()
-    offloaded = _offloaded(params, matrix_names, cfg.optimizer.exponent, lanes)
-    has_helper = lanes >= 2 and bool(offloaded or task.splits_train_loss)
-    with dense.Lane(True, "specopt-step") if has_helper else contextlib.nullcontext() as helper:
-        initial_loss = task.train_loss(params, helper)
+    offloaded = _offloaded(params, matrix_names, cfg.optimizer.exponent)
+    with dense.Lane("specopt-step"):
+        initial_loss = task.train_loss(params)
         threshold = cfg.divergence_threshold
         if threshold is None:
             threshold = 10.0 * initial_loss
         record = RunRecord(config_digest=config_digest(cfg))
-        record.rows.append(EvalRow(0, initial_loss, task.eval_loss(params, helper), 0.0))
+        record.rows.append(EvalRow(0, initial_loss, task.eval_loss(params), 0.0))
 
         batches = _BatchStream(task.num_train, cfg.batch_size, seeded_rng(cfg.seed, 2))
         for step in range(1, cfg.total_steps + 1):
@@ -433,7 +429,7 @@ def run_training(cfg: TrainConfig) -> RunRecord:
                 if not np.isfinite(loss) or loss > threshold:
                     diverged = True
                 else:
-                    _step_params(params, grads, states, matrix_names, helper, offloaded,
+                    _step_params(params, grads, states, matrix_names, offloaded,
                                  cfg.optimizer, hp_step)
             except ToolkitError:
                 loss = float("nan")
@@ -442,12 +438,12 @@ def run_training(cfg: TrainConfig) -> RunRecord:
                 record.outcome = DIVERGED
                 record.diverged_step = step
                 record.rows.append(EvalRow(
-                    step, float(loss), _safe_loss(lambda: task.eval_loss(params, helper)), lr_eff,
+                    step, float(loss), _safe_loss(lambda: task.eval_loss(params)), lr_eff,
                 ))
                 break
             if step % cfg.eval_every == 0 or step == cfg.total_steps:
                 record.rows.append(EvalRow(
-                    step, task.train_loss(params, helper), task.eval_loss(params, helper), lr_eff,
+                    step, task.train_loss(params), task.eval_loss(params), lr_eff,
                 ))
     record.wall_time = time.perf_counter() - start
     return record

@@ -480,6 +480,8 @@ def test_sweep_repeated_optimizer_exits_two(tmp_path, capsys):
     ("train", ["task=foo"], "unknown task 'foo'"),
     ("train", ["task=charlm", "corpus={missing}"], "No such file or directory"),
     ("sweep", ["optimizers=msgdz,muon"], "names optimizer msgdz (muon) twice"),
+    ("train", ["corpus={missing}"], "only task charlm reads a corpus"),
+    ("sweep", ["corpus={missing}"], "only task charlm reads a corpus"),
 ])
 def test_rejected_config_leaves_no_run_directory(tmp_path, capsys, command, overrides, message):
     cfg = write_cfg(tmp_path, TRAIN_CFG if command == "train" else SWEEP_CFG)

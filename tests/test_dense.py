@@ -126,10 +126,29 @@ def lane_threads():
     return [t for t in threading.enumerate() if t.name == "specopt-test"]
 
 
-@pytest.mark.parametrize("helper", [False, True])
-def test_a_lane_runs_its_calls_in_push_order(helper):
+@pytest.fixture
+def two_lanes(monkeypatch):
+    """Let a threaded lane start its thread whatever the host's CPU count."""
+    monkeypatch.setattr(dense, "step_lanes", lambda: 2)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The names of the threads started during the test, in start order."""
+    names, start = [], threading.Thread.start
+
+    def starting(self):
+        names.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", starting)
+    return names
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_a_lane_runs_its_calls_in_push_order(two_lanes, threaded):
     order = []
-    with Lane(helper, "specopt-test") as lane:
+    with Lane("specopt-test", threaded) as lane:
         for i in range(50):
             lane.push(order.append, i)
         lane.push(threading.current_thread)
@@ -137,27 +156,63 @@ def test_a_lane_runs_its_calls_in_push_order(helper):
         lane.push(len, order)
     assert lane.wait() == 50  # read after the join
     assert order == list(range(50))
-    assert (thread.name == "specopt-test") is helper and not lane_threads()
+    assert (thread.name == "specopt-test") is threaded and not lane_threads()
 
 
-def test_the_creators_error_state_reaches_the_helper():
+def test_a_lane_starts_its_thread_at_its_first_push_and_only_when_threaded(
+        monkeypatch, started):
+    """A lane has a thread only when it is threaded and two or more lanes
+    are free, and starts it at its first push: one nobody pushes to starts
+    none."""
+    for lanes, threaded, threads in ((2, True, ["specopt-test"]), (3, True, ["specopt-test"]),
+                                     (1, True, []), (2, False, [])):
+        monkeypatch.setattr(dense, "step_lanes", lambda: lanes)
+        with Lane("specopt-test", threaded):
+            pass
+        assert started == []
+        with Lane("specopt-test", threaded) as lane:
+            for i in range(3):
+                lane.push(abs, i)
+            assert lane.wait() == 2
+        assert started == threads, (lanes, threaded)
+        started.clear()
+
+
+def test_helper_is_the_innermost_open_lane_and_none_on_a_lanes_thread(two_lanes):
+    assert dense.helper() is None
+    with Lane("specopt-test") as outer:
+        assert dense.helper() is outer
+        with Lane("specopt-test", threaded=False) as inner:
+            assert dense.helper() is inner
+        assert dense.helper() is outer
+        outer.push(dense.helper)
+        assert outer.wait() is None  # so no call pushes to the thread that runs it
+        with pytest.raises(RuntimeError, match="inner"):
+            with Lane("specopt-test") as failing:
+                assert dense.helper() is failing
+                raise RuntimeError("inner")
+        assert dense.helper() is outer
+    assert dense.helper() is None and not lane_threads()
+
+
+def test_the_creators_error_state_reaches_the_helper(two_lanes):
     def overflow():
         return np.float64(1e300) * np.float64(1e300)
 
-    with np.errstate(over="raise"), Lane(True, "specopt-test") as lane:
+    with np.errstate(over="raise"), Lane("specopt-test") as lane:
         lane.push(overflow)
         with pytest.raises(FloatingPointError, match="overflow"):
             lane.wait()
-    with np.errstate(over="ignore"), Lane(True, "specopt-test") as lane:
+    with np.errstate(over="ignore"), Lane("specopt-test") as lane:
         lane.push(overflow)
         assert lane.wait() == np.inf
 
 
-def test_each_call_runs_in_the_error_state_it_was_pushed_in():
+def test_each_call_runs_in_the_error_state_it_was_pushed_in(two_lanes):
     def overflow():
         return np.float64(1e300) * np.float64(1e300)
 
-    with np.errstate(over="warn"), Lane(True, "specopt-test") as lane:
+    with np.errstate(over="warn"), Lane("specopt-test") as lane:
         with np.errstate(over="raise"):
             lane.push(overflow)
         with pytest.raises(FloatingPointError, match="overflow"):
@@ -167,15 +222,15 @@ def test_each_call_runs_in_the_error_state_it_was_pushed_in():
         assert lane.wait() == np.inf
 
 
-@pytest.mark.parametrize("helper", [False, True])
-def test_the_first_failure_reraises_at_wait_and_skips_later_calls(helper):
+@pytest.mark.parametrize("threaded", [False, True])
+def test_the_first_failure_reraises_at_wait_and_skips_later_calls(two_lanes, threaded):
     ran = []
 
     def fail(message):
         ran.append(message)
         raise ValueError(message)
 
-    with Lane(helper, "specopt-test") as lane:
+    with Lane("specopt-test", threaded) as lane:
         lane.push(ran.append, "before")
         lane.push(fail, "first")
         lane.push(fail, "second")
@@ -187,10 +242,10 @@ def test_the_first_failure_reraises_at_wait_and_skips_later_calls(helper):
         assert lane.wait() == 2
 
 
-def test_leaving_the_block_by_an_exception_joins_the_helper():
+def test_leaving_the_block_by_an_exception_joins_the_helper(two_lanes):
     done = []
     with pytest.raises(RuntimeError, match="caller"):
-        with Lane(True, "specopt-test") as lane:
+        with Lane("specopt-test") as lane:
             lane.push(threading.current_thread)
             thread = lane.wait()
             lane.push(time.sleep, 0.05)  # still running when the caller raises
@@ -200,13 +255,13 @@ def test_leaving_the_block_by_an_exception_joins_the_helper():
     assert done == ["queued"]
 
 
-def test_three_lanes_keep_order_and_counts_under_fast_thread_switches():
+def test_three_lanes_keep_order_and_counts_under_fast_thread_switches(two_lanes):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         logs = [[], [], []]  # three helpers: more threads than a two-CPU host has CPUs
         with contextlib.ExitStack() as stack:
-            lanes = [stack.enter_context(Lane(True, "specopt-test")) for _ in logs]
+            lanes = [stack.enter_context(Lane("specopt-test")) for _ in logs]
             for batch in range(1, 31):
                 for log, lane in zip(logs, lanes):
                     for i in range(20):
@@ -219,12 +274,12 @@ def test_three_lanes_keep_order_and_counts_under_fast_thread_switches():
         sys.setswitchinterval(interval)
 
 
-def test_inline_and_helper_lanes_give_the_same_bits():
+def test_inline_and_helper_lanes_give_the_same_bits(two_lanes):
     rng = np.random.default_rng(0)
     ts = [rng.standard_normal((128, 128)) / 10 for _ in range(8)]
     products = []
     with one_blas_thread():
-        for helper in (False, True):
+        for threaded in (False, True):
             x = np.eye(128)
 
             def fold(t):
@@ -232,7 +287,7 @@ def test_inline_and_helper_lanes_give_the_same_bits():
                 x = x.dot(t)
                 return x
 
-            with Lane(helper, "specopt-test") as lane:
+            with Lane("specopt-test", threaded) as lane:
                 for t in ts:
                     lane.push(fold, t)
                 products.append(lane.wait())

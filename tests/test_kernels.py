@@ -789,7 +789,7 @@ def test_every_exit_of_the_root_pass_joins_its_helper(lane_floor):
 def test_a_failure_on_the_helper_reaches_the_caller(lane_floor, monkeypatch):
     set_floor, _ = lane_floor
     set_floor(1)
-    with dense.Lane(True, "specopt-root") as lane:
+    with dense.Lane("specopt-root") as lane:
         for a, b in ((np.ones((2, 3)), np.ones((2, 3))), (np.ones((3, 3)), np.ones((3, 3)))):
             lane.push(np.dot, a, b)
         with pytest.raises(ValueError, match="not aligned"):
@@ -812,9 +812,11 @@ def test_a_failure_on_the_helper_reaches_the_caller(lane_floor, monkeypatch):
 
 
 def test_a_training_steps_helper_takes_the_folds_from_128_wide(lane_floor, monkeypatch):
-    """Outside a training step a 128-wide pass folds X on a lane of its own;
-    inside folds_on it folds on the step's helper, starts no thread and reads
-    no lane count, and a narrower pass folds inline. The bits stay the same."""
+    """Outside every lane a 128-wide pass folds X on a lane of its own and a
+    96x16 one starts no thread; inside an open lane, as in a training run,
+    a 128-wide pass folds on dense.helper(), starts no thread of its own and
+    reads no lane count, and a narrower pass folds inline. The bits stay
+    the same."""
     _, folded = lane_floor
     started, reads = [], []
     start = threading.Thread.start
@@ -829,14 +831,41 @@ def test_a_training_steps_helper_takes_the_folds_from_128_wide(lane_floor, monke
     wide, narrow = spectrum_matrix(rng, 128, 128, 1e2), spectrum_matrix(rng, 96, 16, 1e2)
     direct = spectral_transform(wide, SpectralExponent.HALF)[0]
     assert started == ["specopt-root"] and len(reads) == 1 and set(folded) == {"specopt-root"}
-    with dense.Lane(True, "specopt-test") as helper:
+    started.clear()
+    spectral_transform(narrow, SpectralExponent.HALF)
+    assert started == [] and len(reads) == 1
+    with dense.Lane("specopt-test"):
         for seen in (started, reads, folded):
             seen.clear()
-        with kernels.folds_on(helper):
-            stepped = spectral_transform(wide, SpectralExponent.HALF)[0]
-            assert set(folded) == {"specopt-test"}
-            folded.clear()
-            spectral_transform(narrow, SpectralExponent.HALF)
-            assert set(folded) == {"MainThread"}
-    assert started == [] and reads == []
+        stepped = spectral_transform(wide, SpectralExponent.HALF)[0]
+        assert set(folded) == {"specopt-test"}
+        folded.clear()
+        spectral_transform(narrow, SpectralExponent.HALF)
+        assert set(folded) == {"MainThread"}
+    assert started == ["specopt-test"] and reads == []
     assert stepped.tobytes() == direct.tobytes()
+
+
+def test_a_wide_pass_on_a_lanes_thread_folds_on_a_lane_of_its_own(lane_floor):
+    """A call that a lane's thread runs sees no dense.helper(), so a 128-wide
+    pass there folds on a specopt-root lane rather than push its folds to
+    the thread that runs it, which would wait on itself for ever. The pass
+    runs under a joined-with-timeout thread, so that such a wait fails the
+    test rather than hangs it."""
+    _, folded = lane_floor
+    wide = spectrum_matrix(np.random.default_rng(0), 128, 128, 1e2)
+    direct = spectral_transform(wide, SpectralExponent.HALF)[0]
+    folded.clear()
+    got = []
+
+    def drive():
+        with dense.Lane("specopt-test") as lane:
+            lane.push(spectral_transform, wide, SpectralExponent.HALF)
+            got.append(lane.wait()[0])
+
+    driver = threading.Thread(target=drive, daemon=True)
+    driver.start()
+    driver.join(timeout=60)
+    assert not driver.is_alive(), "the pass waited on the thread that runs it"
+    assert got[0].tobytes() == direct.tobytes()
+    assert folded[0] == "specopt-test" and set(folded[1:]) == {"specopt-root"}

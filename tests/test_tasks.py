@@ -224,11 +224,17 @@ def one_shot_loss(task, params, positions):
     return -float(logp[np.arange(len(tgt)), tgt].mean())
 
 
+@pytest.fixture
+def two_lanes(monkeypatch):
+    """Give each threaded lane a thread whatever the host's CPU count."""
+    monkeypatch.setattr(dense, "step_lanes", lambda: 2)
+
+
 class CountingLane(dense.Lane):
     """A helper lane that counts the calls pushed to it."""
 
     def __init__(self):
-        super().__init__(True, "specopt-test")
+        super().__init__("specopt-test")
         self.pushed = 0
 
     def push(self, fn, *args):
@@ -237,7 +243,7 @@ class CountingLane(dense.Lane):
 
 
 @pytest.mark.parametrize("corpus", [None, TINY_CORPUS[:300]], ids=["builtin", "under-one-block"])
-def test_charlm_blocked_losses_match_one_shot_pass(corpus):
+def test_charlm_blocked_losses_match_one_shot_pass(two_lanes, corpus):
     task = CharMlp(0, corpus_text=corpus)
     params = task.init_params(np.random.default_rng(5))
     params["W1"] *= 3.0  # reach the GELU's tails
@@ -245,39 +251,40 @@ def test_charlm_blocked_losses_match_one_shot_pass(corpus):
         assert task.num_train > _LOSS_BLOCK_ROWS and task.num_train % _LOSS_BLOCK_ROWS != 0
     else:
         assert task.num_train < _LOSS_BLOCK_ROWS
-    with dense.one_blas_thread(), CountingLane() as lane:
+    with dense.one_blas_thread():
         for loss, positions in (
             (task.train_loss, task._train_positions),
             (task.eval_loss, task._eval_positions),
         ):
             want = one_shot_loss(task, params, positions)
-            for got in (loss(params), loss(params, lane)):
+            inline = loss(params)
+            with CountingLane() as lane:
+                split = loss(params)
+            for got in (inline, split):
                 assert abs(got - want) <= 1e-12 * abs(want)
-    assert lane.pushed == (1 if corpus is None else 0)
+            assert lane.pushed == (1 if corpus is None and loss == task.train_loss else 0)
 
 
-def test_only_a_split_of_two_full_blocks_pushes_to_the_lane():
+def test_only_a_split_of_two_full_blocks_pushes_to_the_lane(two_lanes):
     """The held-out split (one full block and 73 rows), a corpus under one
     block and matreg's splits run inline; from 1024 rows on, one call takes
     the later half of the blocks."""
     builtin, tiny = CharMlp(0), CharMlp(0, corpus_text=TINY_CORPUS[:300])
     matreg = MatrixRegression(0)
-    assert builtin.splits_train_loss
-    assert not tiny.splits_train_loss and not matreg.splits_train_loss
     params = builtin.init_params(np.random.default_rng(1))
     tiny_params = tiny.init_params(np.random.default_rng(1))
     matreg_params = matreg.init_params(np.random.default_rng(1))
     with dense.one_blas_thread(), CountingLane() as lane:
-        builtin.eval_loss(params, lane)
-        tiny.train_loss(tiny_params, lane)
-        tiny.eval_loss(tiny_params, lane)
-        matreg.train_loss(matreg_params, lane)
-        matreg.eval_loss(matreg_params, lane)
-        builtin._loss(params, builtin._train_positions[:2 * _LOSS_BLOCK_ROWS - 1], lane)
+        builtin.eval_loss(params)
+        tiny.train_loss(tiny_params)
+        tiny.eval_loss(tiny_params)
+        matreg.train_loss(matreg_params)
+        matreg.eval_loss(matreg_params)
+        builtin._loss(params, builtin._train_positions[:2 * _LOSS_BLOCK_ROWS - 1])
         assert lane.pushed == 0
-        builtin._loss(params, builtin._train_positions[:2 * _LOSS_BLOCK_ROWS], lane)
+        builtin._loss(params, builtin._train_positions[:2 * _LOSS_BLOCK_ROWS])
         assert lane.pushed == 1
-        builtin.train_loss(params, lane)
+        builtin.train_loss(params)
         assert lane.pushed == 2
 
 
@@ -285,8 +292,8 @@ def test_only_a_split_of_two_full_blocks_pushes_to_the_lane():
     pytest.param("both-halves", "overflow encountered", id="both-halves"),
     pytest.param("helpers-half", "the helper's half", id="helpers-half"),
 ])
-def test_a_failing_half_reraises_from_train_loss_and_leaves_the_lane_clean(monkeypatch, failing,
-                                                                           message):
+def test_a_failing_half_reraises_from_train_loss_and_leaves_the_lane_clean(monkeypatch, two_lanes,
+                                                                           failing, message):
     task = CharMlp(0)
     params = task.init_params(np.random.default_rng(2))
     want = task.train_loss(params)
@@ -302,12 +309,12 @@ def test_a_failing_half_reraises_from_train_loss_and_leaves_the_lane_clean(monke
             return real(*args)
 
         monkeypatch.setattr(task, "_forward", forward)
-    with dense.one_blas_thread(), dense.Lane(True, "specopt-test") as lane:
+    with dense.one_blas_thread(), dense.Lane("specopt-test") as lane:
         with np.errstate(all="raise"), pytest.raises(FloatingPointError, match=message):
-            task.train_loss(broken, lane)
+            task.train_loss(broken)
         lane.wait()  # raises nothing: no failure and no call is left on the lane
         monkeypatch.undo()
-        assert task.train_loss(params, lane) == want
+        assert task.train_loss(params) == want
 
 
 def per_block_reference_loss(task, params, positions):
@@ -334,7 +341,7 @@ def per_block_reference_loss(task, params, positions):
     return -total / len(positions)
 
 
-def test_charlm_losses_reuse_one_workspace_bit_for_bit():
+def test_charlm_losses_reuse_one_workspace_bit_for_bit(two_lanes):
     """Each thread's blocks share one two-array workspace, and the train
     split's blocks split between the caller and a helper lane: each split,
     inline and with the lane, has the fresh-array loss's bits."""
@@ -343,18 +350,19 @@ def test_charlm_losses_reuse_one_workspace_bit_for_bit():
     assert (task.num_train, len(task._eval_positions)) == (5266, 585)
     rng = np.random.default_rng(3)
     params = task.init_params(rng)
-    with dense.one_blas_thread(), dense.Lane(True, "specopt-test") as lane:
+    with dense.one_blas_thread():
         for step in range(4):
             for loss, positions in ((task.train_loss, task._train_positions),
                                     (task.eval_loss, task._eval_positions)):
                 want = per_block_reference_loss(task, params, positions)
                 assert loss(params) == want, step
-                assert loss(params, lane) == want, step
+                with dense.Lane("specopt-test"):
+                    assert loss(params) == want, step
             _, grads = task.loss_and_grads(params, rng.choice(task.num_train, 64, replace=False))
             params = {name: p - 0.5 * grads[name] for name, p in params.items()}
 
 
-def test_concurrent_split_losses_keep_their_bits():
+def test_concurrent_split_losses_keep_their_bits(two_lanes):
     """Three callers, each with its own helper lane (six threads on fewer
     CPUs), switching threads every few microseconds: every train_loss still
     has the one-thread loss's bits, so no two calls share a workspace or a
@@ -365,8 +373,8 @@ def test_concurrent_split_losses_keep_their_bits():
     got = []
 
     def caller():
-        with dense.Lane(True, "specopt-test") as lane:
-            got.extend(task.train_loss(params, lane) for _ in range(5))
+        with dense.Lane("specopt-test"):
+            got.extend(task.train_loss(params) for _ in range(5))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

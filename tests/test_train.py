@@ -364,11 +364,10 @@ def test_the_costliest_matrix_steps_on_the_caller_and_the_rest_on_one_helper():
     params = {name: np.zeros(shape) for name, shape in shapes.items()}
     names = sorted(params)
     spectral, identity = parse_optimizer("adams").exponent, parse_optimizer("adam").exponent
-    for lanes, want in ((1, []), (2, ["b", "c", "w"]), (3, ["b", "c", "w"]), (9, ["b", "c", "w"])):
-        assert train._offloaded(params, names, spectral, lanes) == want
-        assert train._offloaded(params, names, identity, lanes) == []
-        assert train._offloaded(params, ["a"], spectral, lanes) == []
-    assert train._offloaded(params, ["c", "w"], spectral, 2) == ["w"]
+    assert train._offloaded(params, names, spectral) == ["b", "c", "w"]
+    assert train._offloaded(params, names, identity) == []
+    assert train._offloaded(params, ["a"], spectral) == []
+    assert train._offloaded(params, ["c", "w"], spectral) == ["w"]
 
 
 def run_on(monkeypatch, lanes, cfg):
@@ -380,23 +379,21 @@ def run_on(monkeypatch, lanes, cfg):
 
 
 @pytest.fixture
-def step_lanes_opened(monkeypatch):
-    """(name, helper) of each step lane runs open, in opening order."""
-    opened = []
-    init = dense.Lane.__init__
+def started(monkeypatch):
+    """The names of the threads started during the test, in start order."""
+    names, start = [], threading.Thread.start
 
-    def recording(self, helper, name):
-        if name.startswith("specopt-step"):
-            opened.append((name, helper))
-        init(self, helper, name)
+    def starting(self):
+        names.append(self.name)
+        start(self)
 
-    monkeypatch.setattr(dense.Lane, "__init__", recording)
-    return opened
+    monkeypatch.setattr(threading.Thread, "start", starting)
+    return names
 
 
 @pytest.mark.parametrize("token", [kind.token for kind in ALL_OPTIMIZERS])
-def test_rows_do_not_depend_on_the_cpu_count(monkeypatch, step_lanes_opened, token):
-    """One helper lane per charlm run from two lanes on, none at one: it
+def test_rows_do_not_depend_on_the_cpu_count(monkeypatch, started, token):
+    """One helper thread per charlm run from two lanes on, none at one: it
     steps matrices (p != 1) and runs half of each train_loss's blocks."""
     for lr, outcome in ((CHARLM_LR[token], COMPLETED), (300 * CHARLM_LR[token], DIVERGED)):
         cfg = charlm_config(token, lr)
@@ -405,28 +402,32 @@ def test_rows_do_not_depend_on_the_cpu_count(monkeypatch, step_lanes_opened, tok
             record = run_on(monkeypatch, lanes, cfg)
             assert record.outcome == outcome
             rows.append(record.to_csv(token))
-            assert step_lanes_opened == ([] if lanes == 1 else [("specopt-step", True)])
-            step_lanes_opened.clear()
+            assert started == ([] if lanes == 1 else ["specopt-step"])
+            started.clear()
         assert rows[1:] == rows[:1] * 2
 
 
 @pytest.mark.parametrize("task, token", [("charlm", "msgd"), ("charlm", "adam"),
                                          ("matreg", "msgdq"), ("matreg", "adamz")])
 def test_identity_and_single_matrix_runs_open_a_helper_only_for_charlm_rows(
-        monkeypatch, step_lanes_opened, task, token):
-    """No matrix step goes to a helper here. charlm's training split spans
-    two full row blocks, so from two lanes on its runs open one helper for
-    their eval rows; matreg's does not, and one lane opens none."""
+        monkeypatch, started, task, token):
+    """No matrix step goes to the run's lane here. charlm's training split
+    spans two full row blocks, so from two lanes on its runs start one
+    helper thread for their eval rows; a matreg run pushes nothing and
+    starts no thread, and at one lane the lane runs its share of the rows
+    at once, on the caller."""
     events = []
     spy_on_the_step_lane(monkeypatch, events)
     cfg = charlm_config(token, 0.01, task=task)
+    rows = 1 + cfg.total_steps // cfg.eval_every  # train_loss calls a run
     for lanes in (1, 2, 4):
         assert run_on(monkeypatch, lanes, cfg).outcome == COMPLETED
         helper = task == "charlm" and lanes >= 2
-        assert step_lanes_opened == ([("specopt-step", True)] if helper else [])
-        step_lanes_opened.clear()
-    rows = 1 + cfg.total_steps // cfg.eval_every  # train_loss calls a run
-    assert events == [("rows", "MainThread", "specopt-step")] * (2 * rows if task == "charlm" else 0)
+        assert started == (["specopt-step"] if helper else [])
+        runner = "specopt-step" if helper else "MainThread"
+        assert events == [("rows", "MainThread", runner)] * (rows if task == "charlm" else 0)
+        started.clear()
+        events.clear()
 
 
 def record_matrix_steps(monkeypatch, events):
@@ -446,17 +447,17 @@ def spy_on_the_step_lane(monkeypatch, events):
     a loss's row blocks pushed to it (a range of block indices); and
     ("fold", pushing thread, running thread) for each other call pushed to
     it: a fold of X."""
-    step_lanes, init, push = set(), dense.Lane.__init__, dense.Lane.push
+    run_lanes, init, push = set(), dense.Lane.__init__, dense.Lane.push
 
-    def opening(self, helper, name):
-        if name.startswith("specopt-step"):
-            step_lanes.add(self)
-        init(self, helper, name)
+    def opening(self, name, *args, **kwargs):
+        if name == "specopt-step":
+            run_lanes.add(self)
+        init(self, name, *args, **kwargs)
 
     def pushing(self, fn, *args):
-        if self in step_lanes and isinstance(args[0], str):
+        if self in run_lanes and isinstance(args[0], str):
             events.append(("push", args[0]))
-        elif self in step_lanes:
+        elif self in run_lanes:
             kind = "rows" if isinstance(args[0], range) else "fold"
             pusher = threading.current_thread().name
 
@@ -500,18 +501,11 @@ def test_a_run_steps_each_offloaded_matrix_on_one_thread_throughout(monkeypatch)
 
 @pytest.mark.parametrize("token", ["msgds", "msgdq"])
 @pytest.mark.parametrize("lanes", [2, 3])
-def test_a_run_folds_the_callers_x_on_its_one_helper(monkeypatch, token, lanes):
+def test_a_run_folds_the_callers_x_on_its_one_helper(monkeypatch, started, token, lanes):
     """One specopt-step thread per run and no specopt-root thread: W1's
     passes, on the caller, fold X on the helper that steps W2 and the
     embedding; and the run reads the lane count once."""
-    started, reads, events = [], [], []
-    start = threading.Thread.start
-
-    def starting(self):
-        started.append(self.name)
-        start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", starting)
+    reads, events = [], []
     spy_on_the_step_lane(monkeypatch, events)
     monkeypatch.setattr(dense, "step_lanes", lambda: reads.append(lanes) or lanes)
     cfg = charlm_config(token, CHARLM_LR[token], total_steps=40, eval_every=10)
