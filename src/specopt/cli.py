@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
-from .dense import read_matrix, write_matrix
+from .dense import read_matrix, read_text, write_matrix
 from .errors import (
     ConfigError,
     InfiniteConditionError,
@@ -163,7 +163,7 @@ def _resolved_mapping(args) -> dict[str, str]:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        mapping = parse_config_text(path.read_text(encoding="utf-8"), str(path))
+        mapping = parse_config_text(read_text(path, "utf-8", ConfigError), str(path))
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")

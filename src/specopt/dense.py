@@ -1,6 +1,7 @@
 """Dense float64 matrices, the plain-text matrix format, and the threads
 that make BLAS calls: the one-thread pin, the lane count and Lane, the one
-owner of helper threads, which kernels and tasks find through helper().
+owner of helper threads, whose push() returns each call's own Call; kernels
+and tasks find a lane with a thread through helper().
 
 Matrices are ordinary numpy arrays: 2-D, float64, C (row-major) order.
 Products on the per-step path are written ``a.dot(b)`` rather than
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MatrixFormatError, NonFiniteError, ShapeError
+from .errors import MatrixFormatError, NonFiniteError, ShapeError, ToolkitError
 
 Matrix = np.ndarray
 _pin_lock = threading.Lock()
@@ -76,78 +77,100 @@ _HELPER = contextvars.ContextVar("specopt_helper", default=None)
 
 
 def helper() -> Lane | None:
-    """The Lane of the innermost ``with`` block open in this context; None
-    outside every block and in the calls that a lane's thread runs, so no
-    call can push to the thread that runs it."""
+    """The Lane of the innermost ``with`` block open in this context if that
+    lane has a thread; None outside every block, inside a lane without a
+    thread, and in the calls that a lane's thread runs, so no call can push
+    to the thread that runs it."""
     return _HELPER.get()
+
+
+class Call:
+    """The outcome of one call pushed to a Lane: result() waits until the
+    call has run, then returns its value or raises its failure."""
+
+    __slots__ = ("_value", "_error", "_ran")  # _ran: None, or held until the call ran
+
+    def result(self):
+        if self._ran is not None:
+            with self._ran:
+                pass
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def _settled(value, error, ran=None) -> Call:
+    call = Call()
+    call._value, call._error, call._ran = value, error, ran
+    return call
+
+
+# Every call run at once that returned None shares one Call: most pushes are
+# folds, and this spares each an allocation (a quarter of an inline push).
+_RETURNED_NONE = _settled(None, None)
 
 
 class Lane(contextlib.AbstractContextManager):
     """Runs pushed calls in push order: on a helper thread named ``name``,
     each in a copy of the context it was pushed from (numpy's error state is
-    a context variable), or at once on the caller's thread.
+    a context variable), or at once on the caller's thread. push() returns
+    each call's Call, the only holder of its value or failure, so a failure
+    reaches no other call and stops none.
 
     A lane has a thread only when ``threaded`` is true and step_lanes() is
     two or more, and starts it at its first push, so a lane that nobody
-    pushes to starts none. Inside its ``with`` block the lane is helper().
-    wait() returns the last call's value, or re-raises the first failure
-    since the previous wait() and skips the calls after it. Leaving the
-    block joins the thread on every exit; a wait() after it reads what the
-    thread left. run_training opens one for the whole run, and an
-    inverse-root pass 128 or more wide that finds no helper() opens one for
-    the call.
+    pushes to starts none. Inside its ``with`` block it is helper() if it
+    has a thread. Leaving the block joins the thread on every exit, having
+    run every call pushed before. run_training opens one for the whole run,
+    and an inverse-root pass 128 or more wide that finds no helper() opens
+    one for the call. A lane without a thread keeps no state, so INLINE
+    serves every caller that runs its calls at once.
     """
 
     def __init__(self, name: str, threaded: bool = True):
         self._name = name
-        self._value = self._error = None  # the last call's value, the first failure
-        self._pending = 0  # calls pushed to the thread since the last wait()
         self._threaded = threaded and step_lanes() >= 2
         self._thread = None
 
     def __enter__(self) -> Lane:
-        self._token = _HELPER.set(self)
+        self._token = _HELPER.set(self if self._threaded else None)
         return self
 
-    def push(self, fn, *args) -> None:
+    def push(self, fn, *args) -> Call:
         if not self._threaded:
-            self._run(fn, args)
-            return
+            try:
+                value = fn(*args)
+            except BaseException as exc:  # raised by call.result()
+                return _settled(None, exc)
+            return _RETURNED_NONE if value is None else _settled(value, None)
         if self._thread is None:
-            self._calls, self._ran = queue.SimpleQueue(), queue.SimpleQueue()
+            self._calls = queue.SimpleQueue()
             self._thread = threading.Thread(target=self._serve, name=self._name)
             self._thread.start()
-        self._pending += 1
-        self._calls.put((contextvars.copy_context(), fn, args))
-
-    def wait(self):
-        for _ in range(self._pending):
-            self._ran.get()
-        self._pending = 0
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
-        return self._value
-
-    def _run(self, fn, args) -> None:
-        if self._error is None:
-            try:
-                self._value = fn(*args)
-            except BaseException as exc:  # re-raised by wait()
-                self._error = exc
+        call = _settled(None, None, threading.Lock())
+        call._ran.acquire()
+        self._calls.put((contextvars.copy_context(), call, fn, args))
+        return call
 
     def _serve(self) -> None:
-        while (call := self._calls.get()) is not None:
-            context, fn, args = call
+        while (item := self._calls.get()) is not None:
+            context, call, fn, args = item
             context.run(_HELPER.set, None)
-            context.run(self._run, fn, args)
-            self._ran.put(None)
+            try:
+                call._value = context.run(fn, *args)
+            except BaseException as exc:  # raised by call.result()
+                call._error = exc
+            call._ran.release()
 
     def __exit__(self, *exc_info) -> None:
         _HELPER.reset(self._token)
         if self._thread is not None:
             self._calls.put(None)
             self._thread.join()
+
+
+# Runs each call at once on its caller's thread: narrow folds, a run's own step.
+INLINE = Lane("specopt-inline", threaded=False)
 
 
 @functools.cache
@@ -261,5 +284,15 @@ def write_matrix(path, a: Matrix) -> None:
 
 
 def read_matrix(path) -> Matrix:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_matrix(fh.read())
+    return parse_matrix(read_text(path, "ascii", MatrixFormatError))
+
+
+def read_text(path, encoding: str, error: type[ToolkitError]) -> str:
+    """The text of the file at ``path``; bytes that do not decode as
+    ``encoding`` raise ``error`` with a message that names the file."""
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not {encoding.upper()} text ({exc.reason} at byte {exc.start})"
+                    ) from None

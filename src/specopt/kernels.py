@@ -332,7 +332,8 @@ def _inverse_root_core(
     X <- X T go to dense.helper(), where a training run's lane queues them
     behind the other matrices' steps, or else to a dense.Lane named
     ``specopt-root`` that lives as long as the call; on a lane with a
-    thread the chain's steps are one product shorter.
+    thread the chain's steps are one product shorter. Narrower passes fold
+    on dense.INLINE. Each fold's Call is read once the chain has ended.
     """
     alpha = frobenius_norm(a)
     if alpha == 0.0:
@@ -344,16 +345,14 @@ def _inverse_root_core(
     squarings = q.bit_length() - 1
     m = a / alpha
     diag = KernelDiagnostics(0, alpha, [])
-    x = None
+    x, folds = None, []
 
-    def fold(t):
+    def fold(t):  # returns None: each call's Call keeps its value until the pass ends
         nonlocal x
         x = t if x is None else x.dot(t)
-        return x
 
-    wide = n >= _LANE_MIN_SIDE
-    helper = dense.helper() if wide else None
-    with (dense.Lane("specopt-root", threaded=wide)
+    helper = dense.helper() if n >= _LANE_MIN_SIDE else dense.INLINE
+    with (dense.Lane("specopt-root")
           if helper is None else contextlib.nullcontext(helper)) as lane:
         while True:
             k = diag.iterations_run
@@ -362,7 +361,7 @@ def _inverse_root_core(
             # diagonal in place.
             t = m * -b_k
             t.ravel()[::n + 1] += a_k
-            lane.push(fold, t)
+            folds.append(lane.push(fold, t))
             tq = t
             for _ in range(squarings):
                 tq = tq.dot(tq)
@@ -374,7 +373,9 @@ def _inverse_root_core(
             if res > diag.residual_per_iter[0] * 2.0 + 10.0:
                 raise KernelDivergenceError(
                     f"{label}: residual grew to {res:.3e}", diagnostics=diag)
-    return lane.wait(), diag
+    for call in folds:
+        call.result()
+    return x, diag
 
 
 def _root_transform(a: np.ndarray, q: int, j: int, iters: int) -> tuple[Matrix, KernelDiagnostics]:

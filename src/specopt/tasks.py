@@ -7,9 +7,10 @@ Both tasks expose the same small surface the harness drives:
     task.train_loss(params), task.eval_loss(params)
     task.num_train
 
-Inside an open dense.Lane (dense.helper()), a whole-split loss of two or
-more full row blocks runs half of them on that lane, with the same bits as
-on one thread. The lane runs only private methods, so a wrapper on the
+Inside an open dense.Lane that has a thread (dense.helper()), a
+whole-split loss of two or more full row blocks pushes half of them to that
+lane and reads that call's outcome after its own half, with the same bits
+as on one thread. The lane runs only private methods, so a wrapper on the
 public ones sees each call whole, on the calling thread.
 
 Parameters are dicts of numpy arrays. Weight matrices are stored with
@@ -23,7 +24,6 @@ suite checks every parameter against central finite differences.
 
 from __future__ import annotations
 
-import contextlib
 from importlib import resources
 
 import numpy as np
@@ -267,14 +267,9 @@ class CharMlp:
             run(blocks)
         else:
             half = len(blocks) // 2
-            lane.push(run, blocks[half:])
-            try:
-                run(blocks[:half])
-            except BaseException:
-                with contextlib.suppress(Exception):
-                    lane.wait()  # the helper is done with the sums before this raises
-                raise
-            lane.wait()
+            later = lane.push(run, blocks[half:])
+            run(blocks[:half])
+            later.result()
         # Added in block order, whichever thread ran each block, and not by
         # sum(), which compensates its rounding from Python 3.12 on.
         total = 0.0
@@ -329,7 +324,6 @@ def make_task(name: str, seed: int, corpus_path: str | None = None):
     if name == CharMlp.name:
         text = None
         if corpus_path is not None:
-            with open(corpus_path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            text = dense.read_text(corpus_path, "utf-8", ConfigError)
         return CharMlp(seed, corpus_text=text)
     raise ConfigError(f"unknown task {name!r}; valid tasks: matreg, charlm")

@@ -13,8 +13,8 @@ but never serialized, so output files stay byte-stable.
 Every run opens one dense.Lane, "specopt-step", before the step-0 row and
 joins it when the run ends; dense.Lane decides whether it has a thread
 (two or more CPUs) and starts it at the first push, so a run that pushes
-nothing (every matreg run) starts none. Inside the run the lane is
-dense.helper(), which takes three kinds of call:
+nothing (every matreg run) starts none. With a thread it is dense.helper()
+inside the run, and takes three kinds of call, each read back as its Call:
 - Matrix steps (see _offloaded and _step_params). The steps share nothing
   within a step, so when the exponent is not one and the run has two or
   more matrix parameters, the lane steps all but the costliest of them
@@ -23,15 +23,14 @@ dense.helper(), which takes three kinds of call:
   their folds on the lane behind those steps.
 - Eval rows. A whole-split loss of two full row blocks or more (charlm's
   train_loss) runs half of its blocks on the lane.
-At most two threads make BLAS calls at once. Each step and each block is
-the same computation on the same inputs whichever thread runs it, and the
-block sums are added in one order, so a run's rows do not depend on the
-CPU count.
+On one CPU every call runs on the calling thread. At most two threads
+make BLAS calls at once. Each step and each block is the same computation
+on the same inputs whichever thread runs it, and the block sums are added
+in one order, so a run's rows do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
 import time
@@ -309,12 +308,12 @@ def _safe_loss(fn) -> float:
 
 def _offloaded(params: Mapping[str, np.ndarray], matrix_names: list[str],
                exponent: SpectralExponent) -> list[str]:
-    """The matrix parameters the run's lane steps, in sorted order; [] when
-    no matrix step goes to it.
+    """The matrix parameters a run's helper lane steps, in sorted order; []
+    when no matrix step goes to it.
 
     Steps go to the lane when the exponent is not one (the identity runs no
-    kernel) and the run has two or more matrix parameters; a lane without a
-    thread runs them at once. The lane steps every matrix parameter but the
+    kernel) and the run has two or more matrix parameters; a run whose lane
+    has no thread asks for none. The lane steps every matrix parameter but the
     costliest, which the calling thread steps. Every kernel product is
     n x n on a matrix's small side n, so a step costs about n cubed; ties go
     by name. Both built-in tasks need no more: on charlm W1 (128 wide)
@@ -327,64 +326,35 @@ def _offloaded(params: Mapping[str, np.ndarray], matrix_names: list[str],
     return [name for name in matrix_names if name != costliest]
 
 
-def _step_params(params, grads, states, matrix_names, offloaded, optimizer, hp) -> None:
-    """One step of every parameter, assigned in sorted name order.
+def _step_params(params, grads, states, matrix_names, helper, offloaded, optimizer, hp) -> None:
+    """One step of every parameter, assigned in sorted name order, so a step
+    that raises leaves the names before it stepped and the ones after it
+    with their old values.
 
     Without offloaded names every step runs on the calling thread in that
-    order, so a step that raises leaves the names before it stepped and the
-    ones after it with their old values. With them, _steps_beside runs the
-    matrix steps first, and each name's outcome, value or failure, comes
-    out at its turn, so the parameters end as in one serial pass.
+    order. With them, the ``offloaded`` steps are pushed to ``helper`` first,
+    then the other matrix steps run on the calling thread, their inverse-root
+    passes folding X on the same lane behind those steps. Each matrix step
+    is kept as its dense.Call and read at its name's turn, so the
+    parameters end as in one serial pass.
     """
     def matrix_step(name):
         return step_matrix_param(params[name], grads[name], states[name],
                                  optimizer, hp, param_name=name)
 
-    if offloaded:
-        matrix_step = _steps_beside(offloaded, matrix_names, matrix_step)
+    calls = {name: helper.push(matrix_step, name) for name in offloaded}
+    if calls:
+        calls.update((name, dense.INLINE.push(matrix_step, name))
+                     for name in matrix_names if name not in calls)
     for name in sorted(params):
-        if name in matrix_names:
+        if name in calls:
+            params[name], states[name], _ = calls[name].result()
+        elif name in matrix_names:
             params[name], states[name], _ = matrix_step(name)
         else:
             params[name], states[name] = step_vector_param(
                 params[name], grads[name], states[name], hp, param_name=name,
             )
-
-
-def _steps_beside(offloaded, matrix_names, matrix_step):
-    """Run every matrix step: ``offloaded`` pushed to dense.helper() in
-    order, then the rest on the calling thread, their inverse-root passes
-    folding X on the same lane behind those steps. Returns a function that
-    hands out a name's result, or re-raises its failure.
-
-    A helper step's failure is kept for its name, never left on the lane,
-    so a pass's wait() on the lane sees only its folds. A fold can fail
-    unwaited only behind a pass that raised, so that name's failure is
-    already kept and the fold's is dropped.
-    """
-    helper, outcomes = dense.helper(), {}
-
-    def keep(name):
-        try:
-            outcomes[name] = matrix_step(name)
-        except BaseException as exc:  # re-raised at the name's turn
-            outcomes[name] = exc
-
-    for name in offloaded:
-        helper.push(keep, name)
-    for name in matrix_names:
-        if name not in offloaded:
-            keep(name)
-    with contextlib.suppress(Exception):
-        helper.wait()
-
-    def kept(name):
-        outcome = outcomes[name]
-        if isinstance(outcome, BaseException):
-            raise outcome
-        return outcome
-
-    return kept
 
 
 @dense.one_blas_thread()
@@ -409,8 +379,9 @@ def run_training(cfg: TrainConfig) -> RunRecord:
         for name, p in params.items()
     }
 
-    offloaded = _offloaded(params, matrix_names, cfg.optimizer.exponent)
     with dense.Lane("specopt-step"):
+        helper = dense.helper()
+        offloaded = _offloaded(params, matrix_names, cfg.optimizer.exponent) if helper else []
         initial_loss = task.train_loss(params)
         threshold = cfg.divergence_threshold
         if threshold is None:
@@ -429,7 +400,7 @@ def run_training(cfg: TrainConfig) -> RunRecord:
                 if not np.isfinite(loss) or loss > threshold:
                     diverged = True
                 else:
-                    _step_params(params, grads, states, matrix_names, offloaded,
+                    _step_params(params, grads, states, matrix_names, helper, offloaded,
                                  cfg.optimizer, hp_step)
             except ToolkitError:
                 loss = float("nan")

@@ -493,6 +493,27 @@ def test_rejected_config_leaves_no_run_directory(tmp_path, capsys, command, over
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["train-corpus", "sweep-corpus", "config", "matrix"])
+def test_an_undecodable_input_file_exits_two_naming_the_file(tmp_path, capsys, source):
+    # Exit 1 belongs to a failed verification; a file that is not text is a user error.
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("2 2\n1.0 2.0\n3.0 4.0 caf\xe9\n".encode("latin-1") * 40)
+    out = tmp_path / "o"
+    if source == "matrix":
+        argv = ["transform", str(bad), str(out), "--p", "1"]
+    elif source == "config":
+        argv = ["train", "--config", str(bad), "--out-dir", str(out)]
+    else:
+        command = source.split("-")[0]
+        cfg = write_cfg(tmp_path, TRAIN_CFG if command == "train" else SWEEP_CFG)
+        argv = [command, "--config", cfg, "--out-dir", str(out),
+                "--set", "task=charlm", "--set", f"corpus={bad}"]
+    assert main(argv) == EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not ") and " text (" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,runner", [("train", "run_training"), ("sweep", "run_sweep")])
 def test_an_unwritable_out_dir_fails_before_the_run(tmp_path, capsys, monkeypatch, command,
                                                      runner):

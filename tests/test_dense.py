@@ -151,10 +151,9 @@ def test_a_lane_runs_its_calls_in_push_order(two_lanes, threaded):
     with Lane("specopt-test", threaded) as lane:
         for i in range(50):
             lane.push(order.append, i)
-        lane.push(threading.current_thread)
-        thread = lane.wait()
-        lane.push(len, order)
-    assert lane.wait() == 50  # read after the join
+        thread = lane.push(threading.current_thread).result()
+        counted = lane.push(len, order)
+    assert counted.result() == 50  # read after the join
     assert order == list(range(50))
     assert (thread.name == "specopt-test") is threaded and not lane_threads()
 
@@ -171,59 +170,62 @@ def test_a_lane_starts_its_thread_at_its_first_push_and_only_when_threaded(
             pass
         assert started == []
         with Lane("specopt-test", threaded) as lane:
-            for i in range(3):
-                lane.push(abs, i)
-            assert lane.wait() == 2
+            calls = [lane.push(abs, -i) for i in range(3)]
+            assert [call.result() for call in calls] == [0, 1, 2]
         assert started == threads, (lanes, threaded)
         started.clear()
 
 
-def test_helper_is_the_innermost_open_lane_and_none_on_a_lanes_thread(two_lanes):
+def test_helper_is_the_innermost_open_lane_and_none_on_a_lanes_thread(monkeypatch):
+    """A lane is helper() inside its block only when it has a thread, and
+    helper() is None on a lane's own thread, so no call pushes to the thread
+    that runs it."""
+    monkeypatch.setattr(dense, "step_lanes", lambda: 2)
     assert dense.helper() is None
     with Lane("specopt-test") as outer:
         assert dense.helper() is outer
-        with Lane("specopt-test", threaded=False) as inner:
-            assert dense.helper() is inner
+        with Lane("specopt-test", threaded=False):
+            assert dense.helper() is None
         assert dense.helper() is outer
-        outer.push(dense.helper)
-        assert outer.wait() is None  # so no call pushes to the thread that runs it
+        assert outer.push(dense.helper).result() is None
         with pytest.raises(RuntimeError, match="inner"):
             with Lane("specopt-test") as failing:
                 assert dense.helper() is failing
                 raise RuntimeError("inner")
         assert dense.helper() is outer
+    monkeypatch.setattr(dense, "step_lanes", lambda: 1)
+    with Lane("specopt-test"):
+        assert dense.helper() is None  # one CPU: no lane has a thread
     assert dense.helper() is None and not lane_threads()
 
 
-def test_the_creators_error_state_reaches_the_helper(two_lanes):
-    def overflow():
-        return np.float64(1e300) * np.float64(1e300)
+def overflow():
+    return np.float64(1e300) * np.float64(1e300)
 
+
+def test_the_creators_error_state_reaches_the_helper(two_lanes):
     with np.errstate(over="raise"), Lane("specopt-test") as lane:
-        lane.push(overflow)
         with pytest.raises(FloatingPointError, match="overflow"):
-            lane.wait()
+            lane.push(overflow).result()
     with np.errstate(over="ignore"), Lane("specopt-test") as lane:
-        lane.push(overflow)
-        assert lane.wait() == np.inf
+        assert lane.push(overflow).result() == np.inf
 
 
 def test_each_call_runs_in_the_error_state_it_was_pushed_in(two_lanes):
-    def overflow():
-        return np.float64(1e300) * np.float64(1e300)
-
     with np.errstate(over="warn"), Lane("specopt-test") as lane:
         with np.errstate(over="raise"):
-            lane.push(overflow)
-        with pytest.raises(FloatingPointError, match="overflow"):
-            lane.wait()
+            raising = lane.push(overflow)
         with np.errstate(over="ignore"):
-            lane.push(overflow)
-        assert lane.wait() == np.inf
+            ignoring = lane.push(overflow)
+        assert ignoring.result() == np.inf
+        with pytest.raises(FloatingPointError, match="overflow"):
+            raising.result()
 
 
 @pytest.mark.parametrize("threaded", [False, True])
-def test_the_first_failure_reraises_at_wait_and_skips_later_calls(two_lanes, threaded):
+def test_a_failure_stays_with_its_own_call(two_lanes, threaded):
+    """A failed call raises from its own result(), as often as it is read;
+    the calls after it still run and hand back their own values."""
     ran = []
 
     def fail(message):
@@ -231,28 +233,27 @@ def test_the_first_failure_reraises_at_wait_and_skips_later_calls(two_lanes, thr
         raise ValueError(message)
 
     with Lane("specopt-test", threaded) as lane:
-        lane.push(ran.append, "before")
-        lane.push(fail, "first")
-        lane.push(fail, "second")
-        lane.push(ran.append, "after")
-        with pytest.raises(ValueError, match="first"):
-            lane.wait()
-        assert ran == ["before", "first"]
-        lane.push(len, ran)  # a wait starts the next batch afresh
-        assert lane.wait() == 2
+        before = lane.push(ran.append, "before")
+        first, second = lane.push(fail, "first"), lane.push(fail, "second")
+        after = lane.push(len, ran)
+        assert after.result() == 3
+        for call, message in ((second, "second"), (first, "first"), (first, "first")):
+            with pytest.raises(ValueError, match=message):
+                call.result()
+        assert before.result() is None
+    assert ran == ["before", "first", "second"]
 
 
 def test_leaving_the_block_by_an_exception_joins_the_helper(two_lanes):
     done = []
     with pytest.raises(RuntimeError, match="caller"):
         with Lane("specopt-test") as lane:
-            lane.push(threading.current_thread)
-            thread = lane.wait()
+            thread = lane.push(threading.current_thread).result()
             lane.push(time.sleep, 0.05)  # still running when the caller raises
-            lane.push(done.append, "queued")
+            queued = lane.push(done.append, "queued")
             raise RuntimeError("caller")
     assert thread.name == "specopt-test" and not thread.is_alive()
-    assert done == ["queued"]
+    assert done == ["queued"] and queued.result() is None
 
 
 def test_three_lanes_keep_order_and_counts_under_fast_thread_switches(two_lanes):
@@ -263,12 +264,13 @@ def test_three_lanes_keep_order_and_counts_under_fast_thread_switches(two_lanes)
         with contextlib.ExitStack() as stack:
             lanes = [stack.enter_context(Lane("specopt-test")) for _ in logs]
             for batch in range(1, 31):
+                counts = []
                 for log, lane in zip(logs, lanes):
                     for i in range(20):
                         lane.push(log.append, i)
-                    lane.push(len, log)
-                # A wait() that returned before its calls had run would read short.
-                assert [lane.wait() for lane in lanes] == [20 * batch] * 3
+                    counts.append(lane.push(len, log))
+                # A result() that returned before its call had run would read short.
+                assert [count.result() for count in counts] == [20 * batch] * 3
         assert logs == [list(range(20)) * 30] * 3 and not lane_threads()
     finally:
         sys.setswitchinterval(interval)
@@ -288,9 +290,8 @@ def test_inline_and_helper_lanes_give_the_same_bits(two_lanes):
                 return x
 
             with Lane("specopt-test", threaded) as lane:
-                for t in ts:
-                    lane.push(fold, t)
-                products.append(lane.wait())
+                folds = [lane.push(fold, t) for t in ts]
+                products.append(folds[-1].result())
         serial = functools.reduce(np.dot, ts, np.eye(128))
     assert products[0].tobytes() == products[1].tobytes() == serial.tobytes()
 

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -734,7 +735,7 @@ def lane_floor(monkeypatch):
         def spy(*args):
             folded.append(threading.current_thread().name)
             return fn(*args)
-        push(self, spy, *args)
+        return push(self, spy, *args)
 
     monkeypatch.setattr(dense.Lane, "push", spying)
     with dense.one_blas_thread():
@@ -790,10 +791,11 @@ def test_a_failure_on_the_helper_reaches_the_caller(lane_floor, monkeypatch):
     set_floor, _ = lane_floor
     set_floor(1)
     with dense.Lane("specopt-root") as lane:
-        for a, b in ((np.ones((2, 3)), np.ones((2, 3))), (np.ones((3, 3)), np.ones((3, 3)))):
-            lane.push(np.dot, a, b)
+        misaligned = lane.push(np.dot, np.ones((2, 3)), np.ones((2, 3)))
+        square = lane.push(np.dot, np.ones((3, 3)), np.ones((3, 3)))
         with pytest.raises(ValueError, match="not aligned"):
-            lane.wait()
+            misaligned.result()
+        assert (square.result() == 3.0).all()
     assert not root_threads()
     push, pushed = dense.Lane.push, []
 
@@ -802,7 +804,7 @@ def test_a_failure_on_the_helper_reaches_the_caller(lane_floor, monkeypatch):
         if len(pushed) == 4:
             def fn(t):
                 raise MemoryError(f"no room for X on {threading.current_thread().name}")
-        push(self, fn, *args)
+        return push(self, fn, *args)
 
     monkeypatch.setattr(dense.Lane, "push", pushing)
     with pytest.raises(MemoryError, match="no room for X on specopt-root"):
@@ -846,6 +848,24 @@ def test_a_training_steps_helper_takes_the_folds_from_128_wide(lane_floor, monke
     assert stepped.tobytes() == direct.tobytes()
 
 
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("p", [SpectralExponent.HALF, SpectralExponent.QUARTER])
+def test_a_wide_pass_holds_a_few_n_by_n_arrays_at_most(monkeypatch, lanes, p):
+    """The folds hand back no X, so no fold's Call keeps one: a 512x256
+    transform peaks at 7 to 9 arrays of 256x256 (the input is two), where
+    Calls that each kept their X would hold about 20."""
+    monkeypatch.setattr(dense, "step_lanes", lambda: lanes)
+    o = spectrum_matrix(np.random.default_rng(0), 512, 256, 1e4)
+    with dense.one_blas_thread():
+        tracemalloc.start()
+        try:
+            spectral_transform(o, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 12 * 256 * 256 * o.itemsize
+
+
 def test_a_wide_pass_on_a_lanes_thread_folds_on_a_lane_of_its_own(lane_floor):
     """A call that a lane's thread runs sees no dense.helper(), so a 128-wide
     pass there folds on a specopt-root lane rather than push its folds to
@@ -860,8 +880,7 @@ def test_a_wide_pass_on_a_lanes_thread_folds_on_a_lane_of_its_own(lane_floor):
 
     def drive():
         with dense.Lane("specopt-test") as lane:
-            lane.push(spectral_transform, wide, SpectralExponent.HALF)
-            got.append(lane.wait()[0])
+            got.append(lane.push(spectral_transform, wide, SpectralExponent.HALF).result()[0])
 
     driver = threading.Thread(target=drive, daemon=True)
     driver.start()

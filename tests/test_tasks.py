@@ -239,7 +239,7 @@ class CountingLane(dense.Lane):
 
     def push(self, fn, *args):
         self.pushed += 1
-        super().push(fn, *args)
+        return super().push(fn, *args)
 
 
 @pytest.mark.parametrize("corpus", [None, TINY_CORPUS[:300]], ids=["builtin", "under-one-block"])
@@ -312,7 +312,7 @@ def test_a_failing_half_reraises_from_train_loss_and_leaves_the_lane_clean(monke
     with dense.one_blas_thread(), dense.Lane("specopt-test") as lane:
         with np.errstate(all="raise"), pytest.raises(FloatingPointError, match=message):
             task.train_loss(broken)
-        lane.wait()  # raises nothing: no failure and no call is left on the lane
+        assert lane.push(len, "ok").result() == 2  # a failure stays with its own call
         monkeypatch.undo()
         assert task.train_loss(params) == want
 

@@ -414,8 +414,8 @@ def test_identity_and_single_matrix_runs_open_a_helper_only_for_charlm_rows(
     """No matrix step goes to the run's lane here. charlm's training split
     spans two full row blocks, so from two lanes on its runs start one
     helper thread for their eval rows; a matreg run pushes nothing and
-    starts no thread, and at one lane the lane runs its share of the rows
-    at once, on the caller."""
+    starts no thread, and at one lane the run's lane has no thread, so no
+    run pushes to it."""
     events = []
     spy_on_the_step_lane(monkeypatch, events)
     cfg = charlm_config(token, 0.01, task=task)
@@ -424,10 +424,44 @@ def test_identity_and_single_matrix_runs_open_a_helper_only_for_charlm_rows(
         assert run_on(monkeypatch, lanes, cfg).outcome == COMPLETED
         helper = task == "charlm" and lanes >= 2
         assert started == (["specopt-step"] if helper else [])
-        runner = "specopt-step" if helper else "MainThread"
-        assert events == [("rows", "MainThread", runner)] * (rows if task == "charlm" else 0)
+        assert events == [("rows", "MainThread", "specopt-step")] * (rows if helper else 0)
         started.clear()
         events.clear()
+
+
+@pytest.mark.parametrize("token", ["msgd", "msgds"])
+def test_at_one_lane_a_train_loss_pushes_nothing_and_fills_one_workspace(monkeypatch, token):
+    """On one CPU the run's lane has no thread and is not dense.helper(), so
+    each train_loss runs its blocks in one pass over one workspace, where
+    two lanes split them over two, and no matrix step is pushed."""
+    pushed, workspaces, per_call = [], [], []
+    push, buffers = dense.Lane.push, tasks.CharMlp._loss_buffers
+    train_loss = tasks.CharMlp.train_loss
+
+    def pushing(self, fn, *args):
+        if self is not dense.INLINE:
+            pushed.append(args[0])
+        return push(self, fn, *args)
+
+    def counted(self, params):
+        before = len(pushed), len(workspaces)
+        loss = train_loss(self, params)
+        per_call.append((len(pushed) - before[0], len(workspaces) - before[1]))
+        return loss
+
+    monkeypatch.setattr(dense.Lane, "push", pushing)
+    monkeypatch.setattr(tasks.CharMlp, "_loss_buffers",
+                        lambda self, rows: workspaces.append(rows) or buffers(self, rows))
+    monkeypatch.setattr(tasks.CharMlp, "train_loss", counted)
+    cfg = charlm_config(token, CHARLM_LR[token])
+    rows = 1 + cfg.total_steps // cfg.eval_every
+    for lanes, per_row in ((1, (0, 1)), (2, (1, 2))):
+        assert run_on(monkeypatch, lanes, cfg).outcome == COMPLETED
+        assert per_call == [per_row] * rows, lanes
+        steps = [name for name in pushed if isinstance(name, str)]
+        assert steps == ([] if lanes == 1 or token == "msgd" else ["W2", "embed"] * cfg.total_steps)
+        pushed.clear()
+        per_call.clear()
 
 
 def record_matrix_steps(monkeypatch, events):
