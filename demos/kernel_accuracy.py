@@ -19,7 +19,7 @@ Run: python3 demos/kernel_accuracy.py
 
 import numpy as np
 
-from specopt.kernels import SpectralExponent, polar_cubic, polar_quintic, spectral_transform
+from specopt.kernels import SpectralExponent, spectral_transform
 from specopt.oracle import jacobi_svd, spectral_power_exact
 from specopt.synth import spectrum_matrix
 
@@ -39,8 +39,8 @@ def main():
 
         half, _ = spectral_transform(m, SpectralExponent.HALF)
         quarter, _ = spectral_transform(m, SpectralExponent.QUARTER)
-        cubic, _ = polar_cubic(m)
-        quintic, _ = polar_quintic(m)
+        cubic, _ = spectral_transform(m, SpectralExponent.ZERO, zero_method="cubic")
+        quintic, _ = spectral_transform(m, SpectralExponent.ZERO)
         q_sig = jacobi_svd(quintic).sigma
 
         print(f"{cond:>10.0f}  {rel(half, spectral_power_exact(m, 0.5)):>11.2e}  "

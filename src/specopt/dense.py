@@ -192,9 +192,10 @@ def _openblas_thread_calls():
 
 
 def as_matrix(data) -> Matrix:
-    """Validate external input into a 2-D float64 C-order array of finite entries."""
+    """``data`` as a non-empty 2-D float64 array of finite entries, the one
+    matrix validator; a float64 array comes back as it is, not copied."""
     try:
-        a = np.array(data, dtype=np.float64, order="C")
+        a = np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise MatrixFormatError(f"cannot interpret input as a float matrix: {exc}") from exc
     if a.ndim != 2:
@@ -212,14 +213,12 @@ def _require_2d(a: Matrix) -> None:
 
 
 def gram(o: Matrix) -> Matrix:
-    """Reduce to the smaller-side Gram matrix, symmetrized exactly.
-
-    Returns O^T O when rows >= cols, otherwise O O^T. Averaging with the
-    transpose removes roundoff asymmetry so downstream symmetric kernels see
-    a bitwise-symmetric input.
+    """O^T O of a 2-D ``o``, symmetrized exactly: the small-side Gram matrix
+    of a tall ``o``, which is what spectral_transform hands its kernels.
+    Averaging with the transpose removes roundoff asymmetry so downstream
+    symmetric kernels see a bitwise-symmetric input.
     """
-    _require_2d(o)
-    x = o.T.dot(o) if o.shape[0] >= o.shape[1] else o.dot(o.T)
+    x = o.T.dot(o)
     return 0.5 * (x + x.T)
 
 

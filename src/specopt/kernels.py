@@ -27,8 +27,10 @@ raises its singular values to a power in {1, 1/2, 1/4, 0}:
 Each of these five routes is one entry of the table that ``route`` reads:
 its kernel, default step budget and calibrated tolerance.
 
-All kernels internally work with at least as many rows as columns,
-transposing at entry and exit when needed.
+``spectral_transform`` is the one entry to these routes: it validates its
+input once (dense.as_matrix), checks the step budget, and hands the route's
+kernel the tall orientation, at least as many rows as columns, transposing
+a wide input at entry and the output at exit.
 
 Matmul counts, with n x n products on the small side n:
 
@@ -73,7 +75,7 @@ import numpy as np
 
 from . import dense
 from .calibration import REL_TOL_HALF, REL_TOL_POLAR_CUBIC, REL_TOL_QUARTER, REL_TOL_ZERO_QUINTIC
-from .dense import Matrix, frobenius_norm, gram
+from .dense import Matrix, as_matrix, frobenius_norm, gram
 from .errors import (
     DegenerateInputError,
     KernelDivergenceError,
@@ -92,8 +94,8 @@ _CUBIC_RESIDUAL_CEILING = 0.5
 _COUPLED_EXIT = 1e-14
 _SYMMETRY_RTOL = 1e-10
 
-# (a, b, c) of the odd quintic z -> a z + b z^3 + c z^5 that polar_quintic
-# applies to every singular value.
+# (a, b, c) of the odd quintic z -> a z + b z^3 + c z^5 that the quintic
+# route applies to every singular value.
 QUINTIC_COEFFICIENTS = (3.4445, -4.7750, 2.0315)
 
 
@@ -116,19 +118,21 @@ class SpectralExponent(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "SpectralExponent":
+        """A name, a fraction, or a number compared by value ("1.0", ".5")."""
         key = token.strip().lower()
         table = {
-            "1": cls.ONE, "one": cls.ONE,
-            "0.5": cls.HALF, "1/2": cls.HALF, "half": cls.HALF, "s": cls.HALF,
-            "0.25": cls.QUARTER, "1/4": cls.QUARTER, "quarter": cls.QUARTER, "q": cls.QUARTER,
-            "0": cls.ZERO, "zero": cls.ZERO, "z": cls.ZERO,
+            "one": cls.ONE,
+            "1/2": cls.HALF, "half": cls.HALF, "s": cls.HALF,
+            "1/4": cls.QUARTER, "quarter": cls.QUARTER, "q": cls.QUARTER,
+            "zero": cls.ZERO, "z": cls.ZERO,
         }
-        if key not in table:
+        try:
+            return table[key] if key in table else next(e for e in cls if e.power == float(key))
+        except (ValueError, StopIteration):
             raise PreconditionError(
                 f"unknown exponent token {token!r}; use one of 1, 0.5, 0.25, 0 "
                 "(or one/half/quarter/zero)"
-            )
-        return table[key]
+            ) from None
 
 
 @dataclass
@@ -149,19 +153,9 @@ class KernelDiagnostics:
     residual_per_iter: list[float]
 
 
-def _validate_input(m, name: str = "input") -> np.ndarray:
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ShapeError(f"{name} must be a non-empty 2-D matrix, got shape {a.shape}")
-    # Reject garbage up front: a NaN or Inf entry would otherwise surface
-    # iterations later as a bogus divergence report.
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError(f"{name} contains NaN or Inf entries")
-    return a
-
-
-def polar_quintic(m: Matrix, iters: int = DEFAULT_POLAR_ITERS) -> tuple[Matrix, KernelDiagnostics]:
-    """Quintic orthogonalizer: repeated odd-quintic applied to the spectrum.
+def _quintic(a: np.ndarray, iters: int) -> tuple[Matrix, KernelDiagnostics]:
+    """Quintic orthogonalizer of a tall ``a``: repeated odd quintic applied
+    to the spectrum.
 
     Normalizes the input by its Frobenius norm, then iterates
     Z <- a Z + b Z Z^T Z + c (Z Z^T)^2 Z. With QUINTIC_COEFFICIENTS the
@@ -169,14 +163,10 @@ def polar_quintic(m: Matrix, iters: int = DEFAULT_POLAR_ITERS) -> tuple[Matrix, 
     the output is the polar factor up to that band. The output is not
     rescaled after the initial normalization.
     """
-    a = _validate_input(m)
-    if iters < 1:
-        raise PreconditionError(f"iteration count must be >= 1, got {iters}")
     alpha = frobenius_norm(a)
     if alpha == 0.0:
         raise DegenerateInputError("zero matrix has no polar factor")
-    transposed = a.shape[0] < a.shape[1]
-    z = (a.T if transposed else a) / alpha
+    z = a / alpha
     n = z.shape[1]
     eye = np.eye(n)
     qa, qb, qc = QUINTIC_COEFFICIENTS
@@ -188,11 +178,12 @@ def polar_quintic(m: Matrix, iters: int = DEFAULT_POLAR_ITERS) -> tuple[Matrix, 
         z = z.dot(a_eye + qb * b + qc * b.dot(b))
         b = z.T.dot(z)
         _residual(b, eye, "quintic", diag)
-    return (z.T.copy() if transposed else z), diag
+    return z, diag
 
 
-def polar_cubic(m: Matrix, iters: int = DEFAULT_CUBIC_ITERS) -> tuple[Matrix, KernelDiagnostics]:
-    """Cubic polar factor of ``m``: m G^(-1/2), G = m^T m, by one q = 2 pass.
+def _cubic(a: np.ndarray, iters: int) -> tuple[Matrix, KernelDiagnostics]:
+    """Cubic polar factor of a tall ``a``: a G^(-1/2), G = a^T a, by one
+    q = 2 pass.
 
     Each step X <- X T of _inverse_root_core with T = (3 I - M_k) / 2 is the
     cubic update Z <- Z (3 I - G Z^2) / 2 on the normalized Gram matrix,
@@ -205,7 +196,7 @@ def polar_cubic(m: Matrix, iters: int = DEFAULT_CUBIC_ITERS) -> tuple[Matrix, Ke
     Requires full column rank: a rank-deficient input leaves the residual
     stuck above the acceptance ceiling and raises KernelDivergenceError.
     """
-    out, diag = _root_transform(_validate_input(m), 2, 1, iters)
+    out, diag = _root_transform(a, 2, 1, iters)
     if diag.residual_per_iter[-1] > _CUBIC_RESIDUAL_CEILING:
         raise KernelDivergenceError(
             f"cubic polar residual stuck at {diag.residual_per_iter[-1]:.3e} after "
@@ -262,7 +253,7 @@ def coupled_root(
     if q not in _COUPLED_ROOTS:
         raise PreconditionError(f"coupled root degree must be 2 or 4, got {q!r}")
     what, label = _COUPLED_ROOTS[q]
-    a = _validate_input(x)
+    a = as_matrix(x)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} needs a square matrix, got {a.shape}")
     if iters < 1:
@@ -379,7 +370,7 @@ def _inverse_root_core(
 
 
 def _root_transform(a: np.ndarray, q: int, j: int, iters: int) -> tuple[Matrix, KernelDiagnostics]:
-    """O (O^T O)^(-j/q) for a validated ``a``, on its smaller side.
+    """O (O^T O)^(-j/q) for a tall ``a``.
 
     The Gram matrix is exactly symmetric (dense.gram), so it goes to the
     inverse root without a symmetry check. A finite input with entries
@@ -388,29 +379,26 @@ def _root_transform(a: np.ndarray, q: int, j: int, iters: int) -> tuple[Matrix, 
     so after thousands of steps X can overflow; the output's finiteness
     check reports that without a RuntimeWarning first.
     """
-    if iters < 1:
-        raise PreconditionError(f"iteration count must be >= 1, got {iters}")
-    transposed = a.shape[0] < a.shape[1]
-    work = a.T if transposed else a
     with np.errstate(over="ignore", invalid="ignore"):
-        g = gram(work)
+        g = gram(a)
         if not np.isfinite(g).all():
             raise NonFiniteError("Gram matrix overflowed: input entries are too large to square")
         label = f"inverse {'square' if q == 2 else f'{q}th'} root"
         x, diag = _inverse_root_core(g, q, iters, label)
-        out = work.dot(_power(x, j) * diag.scale_alpha ** (-j / q))
+        out = a.dot(_power(x, j) * diag.scale_alpha ** (-j / q))
     if not np.isfinite(out).all():
         raise KernelDivergenceError(
             f"{label}: the root iterate overflowed after {diag.iterations_run} steps",
             diagnostics=diag)
-    return (out.T.copy() if transposed else out), diag
+    return out, diag
 
 
 @dataclass(frozen=True)
 class Route:
-    """A spectral_transform route: the kernel, run on validated input with a
-    step budget, its default budget and its calibrated error bound against
-    the oracle (relative Frobenius)."""
+    """A spectral_transform route: the kernel, run on a validated tall
+    matrix with a step budget of at least 1 (the identity, whose default
+    budget is 0, takes any), its default budget and its calibrated error
+    bound against the oracle (relative Frobenius)."""
 
     kernel: Callable[[np.ndarray, int], tuple[Matrix, KernelDiagnostics]]
     steps: int
@@ -427,9 +415,8 @@ _ROUTES = {
         lambda a, steps: _root_transform(a, 4, 1, steps), DEFAULT_ROOT_STEPS, REL_TOL_HALF),
     (SpectralExponent.QUARTER, None): Route(
         lambda a, steps: _root_transform(a, 8, 3, steps), DEFAULT_ROOT_STEPS, REL_TOL_QUARTER),
-    (SpectralExponent.ZERO, "quintic"): Route(
-        polar_quintic, DEFAULT_POLAR_ITERS, REL_TOL_ZERO_QUINTIC),
-    (SpectralExponent.ZERO, "cubic"): Route(polar_cubic, DEFAULT_CUBIC_ITERS, REL_TOL_POLAR_CUBIC),
+    (SpectralExponent.ZERO, "quintic"): Route(_quintic, DEFAULT_POLAR_ITERS, REL_TOL_ZERO_QUINTIC),
+    (SpectralExponent.ZERO, "cubic"): Route(_cubic, DEFAULT_CUBIC_ITERS, REL_TOL_POLAR_CUBIC),
 }
 
 ZERO_METHODS = tuple(method for _, method in _ROUTES if method is not None)
@@ -452,8 +439,10 @@ def spectral_transform(
 ) -> tuple[Matrix, KernelDiagnostics]:
     """Raise the singular values of ``o`` to the chosen power, SVD-free.
 
-    Runs the kernel of ``route(exponent, zero_method)``. ``iters`` is its
-    step count: steps of the one inverse-root pass for p = 1/2 and 1/4 and
+    Validates ``o`` (dense.as_matrix) and runs the kernel of
+    ``route(exponent, zero_method)`` on its tall orientation, a wide input
+    transposed at entry and its output at exit. ``iters`` is its step count,
+    at least 1: steps of the one inverse-root pass for p = 1/2 and 1/4 and
     the cubic p = 0, quintic steps for the quintic; None picks the route's
     default. ``zero_method`` selects the polar kernel for the zero power:
     "quintic" (band around 1) or "cubic" (fully converged polar); other
@@ -470,10 +459,15 @@ def spectral_transform(
     KernelDivergenceError. A kernel's error comes out led by its route:
     ``spectral transform p=0.25: ...`` or ``... p=0.0 method=cubic: ...``.
     """
-    a = _validate_input(o)
+    a = as_matrix(o)
     chosen = route(exponent, zero_method)
+    steps = chosen.steps if iters is None else iters
+    wide = a.shape[0] < a.shape[1]
     try:
-        return chosen.kernel(a, chosen.steps if iters is None else iters)
+        if steps < 1 and chosen.steps:  # the identity's default is 0: it takes any
+            raise PreconditionError(f"iteration count must be >= 1, got {steps}")
+        out, diag = chosen.kernel(a.T if wide else a, steps)
     except ToolkitError as exc:
         method = f" method={zero_method}" if exponent is SpectralExponent.ZERO else ""
         raise tagged(exc, f"spectral transform p={exponent.power}{method}") from exc
+    return (out.T.copy() if wide else out), diag

@@ -125,15 +125,10 @@ class OptimizerState:
 
     m: np.ndarray
     v: np.ndarray | None
-    t: int = 0
 
     @classmethod
     def initial(cls, param: np.ndarray, need_v: bool) -> "OptimizerState":
-        return cls(
-            m=np.zeros_like(param),
-            v=np.zeros_like(param) if need_v else None,
-            t=0,
-        )
+        return cls(m=np.zeros_like(param), v=np.zeros_like(param) if need_v else None)
 
 
 def update_moments(
@@ -152,7 +147,7 @@ def update_moments(
     if need_v:
         prev_v = state.v if state.v is not None else np.zeros_like(g)
         v = hp.beta2 * prev_v + (1.0 - hp.beta2) * (g * g)
-    return OptimizerState(m=m, v=v, t=state.t + 1)
+    return OptimizerState(m=m, v=v)
 
 
 def make_input(state: OptimizerState, kind: InputKind, hp: HyperParams) -> np.ndarray:
@@ -178,6 +173,12 @@ def _fan_scale(shape: tuple[int, int], kind: OptimizerKind, hp: HyperParams) -> 
     return float(np.sqrt(rows / cols))
 
 
+def is_matrix_param(w: np.ndarray) -> bool:
+    """Whether ``w`` takes matrix steps: 2-D with both dims > 1. Every other
+    shape takes vector steps."""
+    return w.ndim == 2 and min(w.shape) > 1
+
+
 def step_matrix_param(
     w: Matrix,
     g: Matrix,
@@ -193,7 +194,7 @@ def step_matrix_param(
     exactly zero short-circuits to a zero update, since a zero matrix has no
     polar factor and the correct step is no motion.
     """
-    if w.ndim != 2 or min(w.shape) < 2:
+    if not is_matrix_param(w):
         raise RoutingError(
             f"matrix step needs both dims > 1, got shape {w.shape}"
             + (f" for parameter {param_name!r}" if param_name else "")
@@ -224,7 +225,7 @@ def step_vector_param(
     param_name: str = "",
 ) -> tuple[np.ndarray, OptimizerState]:
     """Plain rms-normalized step at lr_vec for vector-shaped parameters."""
-    if w.ndim > 2 or (w.ndim == 2 and min(w.shape) > 1):
+    if w.ndim > 2 or is_matrix_param(w):
         raise RoutingError(
             f"vector step needs a unit dimension, got shape {w.shape}"
             + (f" for parameter {param_name!r}" if param_name else "")

@@ -7,8 +7,7 @@ parser, canonical rendering and the word that stands for None. The
 canonical rendering of a config (sorted "key = value" lines) is hashed into
 a digest that every output artifact embeds, and replaying the same config
 bit-reproduces every recorded row on the same platform and BLAS build (a
-run pins one BLAS thread per call). Wall time is kept on the record object
-but never serialized, so output files stay byte-stable.
+run pins one BLAS thread per call).
 
 Every run opens one dense.Lane, "specopt-step", before the step-0 row and
 joins it when the run ends; dense.Lane decides whether it has a thread
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from collections.abc import Callable, Mapping
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, NamedTuple
@@ -48,6 +46,7 @@ from .optim import (
     InputKind,
     OptimizerKind,
     OptimizerState,
+    is_matrix_param,
     parse_optimizer,
     step_matrix_param,
     step_vector_param,
@@ -256,7 +255,6 @@ class RunRecord:
     rows: list[EvalRow] = field(default_factory=list)
     outcome: str = COMPLETED
     diverged_step: int | None = None
-    wall_time: float = 0.0  # informational only; never serialized
 
     @property
     def completed(self) -> bool:
@@ -368,11 +366,10 @@ def run_training(cfg: TrainConfig) -> RunRecord:
     on every exit once the run's lane, and its thread if it started one, is
     joined.
     """
-    start = time.perf_counter()
     task = make_task(cfg.task, cfg.seed, cfg.corpus_path)
     params = task.init_params(seeded_rng(cfg.seed, 1))
 
-    matrix_names = sorted(n for n, p in params.items() if p.ndim == 2 and min(p.shape) > 1)
+    matrix_names = sorted(n for n, p in params.items() if is_matrix_param(p))
     need_v = cfg.optimizer.base is InputKind.RMS_NORMALIZED
     states = {
         name: OptimizerState.initial(p, need_v if name in matrix_names else True)
@@ -416,5 +413,4 @@ def run_training(cfg: TrainConfig) -> RunRecord:
                 record.rows.append(EvalRow(
                     step, task.train_loss(params), task.eval_loss(params), lr_eff,
                 ))
-    record.wall_time = time.perf_counter() - start
     return record

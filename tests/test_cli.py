@@ -183,6 +183,16 @@ def test_transform_identity_power_copies_bytes(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_transform_reads_a_numeric_exponent_by_value(tmp_path):
+    src = tmp_path / "in.mat"
+    write_matrix(src, np.random.default_rng(0).standard_normal((6, 4)))
+    for token, canonical in (("1.0", "1"), (".5", "0.5"), ("0.50", "0.5")):
+        outs = [tmp_path / f"{name}.mat" for name in (token, canonical)]
+        for name, out in zip((token, canonical), outs):
+            assert main(["transform", str(src), str(out), "--p", name]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes(), token
+
+
 def test_transform_oracle_flattens_the_diagonal_fixture(tmp_path):
     src = tmp_path / "in.mat"
     dst = tmp_path / "out.mat"

@@ -36,12 +36,15 @@ def test_gram_diagonal_square():
     assert np.array_equal(gram(np.diag([3.0, 2.0])), np.diag([9.0, 4.0]))
 
 
-def test_gram_reduces_to_smaller_side():
+def test_gram_is_o_transpose_o_of_any_shape():
+    # The side is spectral_transform's choice: it hands gram a tall matrix.
     rng = np.random.default_rng(3)
     tall = rng.standard_normal((5, 3))
     wide = rng.standard_normal((3, 5))
     assert gram(tall).shape == (3, 3)
-    assert gram(wide).shape == (3, 3)
+    assert gram(wide).shape == (5, 5)
+    x = wide.T.dot(wide)
+    assert gram(wide).tobytes() == (0.5 * (x + x.T)).tobytes()
 
 
 def test_gram_symmetric_with_nonnegative_eigenvalues():
@@ -300,6 +303,8 @@ def test_as_matrix_validation():
     a = as_matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     assert a.shape == (2, 3)
     assert a.dtype == np.float64
+    assert as_matrix(a) is a and as_matrix(a.T).base is a  # nothing copied
+    assert as_matrix([[1, 2]]).dtype == np.float64
     with pytest.raises(ShapeError):
         as_matrix([1.0, 2.0, 3.0])  # 1-D
     with pytest.raises(NonFiniteError):
@@ -308,6 +313,10 @@ def test_as_matrix_validation():
         as_matrix([[np.inf, 1.0]])
     with pytest.raises(MatrixFormatError):
         as_matrix([["a", "b"]])
+    with pytest.raises(MatrixFormatError):
+        as_matrix([[1.0, 2.0], [3.0]])  # ragged
+    with pytest.raises(ShapeError):
+        as_matrix(np.ones((0, 3)))
 
 
 def test_format_round_trip_is_exact():

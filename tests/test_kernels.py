@@ -20,6 +20,7 @@ from specopt.dense import write_matrix
 from specopt.errors import (
     DegenerateInputError,
     KernelDivergenceError,
+    MatrixFormatError,
     NonFiniteError,
     PreconditionError,
     ShapeError,
@@ -31,14 +32,13 @@ from specopt.kernels import (
     QUINTIC_COEFFICIENTS,
     SpectralExponent,
     coupled_root,
-    polar_cubic,
-    polar_quintic,
     spectral_transform,
 )
 from specopt.oracle import jacobi_svd, spectral_power_exact
 from specopt.synth import random_orthogonal, random_spd, spectrum_matrix
 
 FIXTURE5 = np.diag([9.0, 4.0, 1.0, 0.01, 0.0001])
+ZERO = SpectralExponent.ZERO
 
 
 def rel_err(got, want):
@@ -65,10 +65,12 @@ def test_exponent_tokens_and_maps():
     assert SpectralExponent.ZERO.suffix == "Z"
     for token, want in (("1", "one"), ("0.5", "half"), ("1/2", "half"),
                         ("0.25", "quarter"), ("q", "quarter"), ("0", "zero"),
-                        ("Zero", "zero"), ("S", "half")):
+                        ("Zero", "zero"), ("S", "half"), ("1.0", "one"), (".5", "half"),
+                        ("0.50", "half"), (" 0.250 ", "quarter"), ("0.0", "zero")):
         assert SpectralExponent.from_token(token).value == want
-    with pytest.raises(PreconditionError):
-        SpectralExponent.from_token("2")
+    for token in ("2", "0.3", "nan"):
+        with pytest.raises(PreconditionError, match="unknown exponent token"):
+            SpectralExponent.from_token(token)
 
 
 # --- quintic polar --------------------------------------------------------
@@ -79,7 +81,7 @@ def test_quintic_orthogonal_input_keeps_direction():
     # input rotation with the scalar inside the recorded band
     theta = 0.7
     r = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    out, diag = polar_quintic(r)
+    out, diag = spectral_transform(r, ZERO)
     s = 0.5 * float(np.trace(out @ r.T))
     assert QUINTIC_SV_BAND[0] <= s <= QUINTIC_SV_BAND[1]
     assert np.linalg.norm(out - s * r) <= 1e-10
@@ -90,15 +92,15 @@ def test_quintic_orthogonal_input_keeps_direction():
 def test_quintic_positive_scale_removed_by_normalization():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((5, 4))
-    base, _ = polar_quintic(m)
-    scaled, _ = polar_quintic(137.0 * m)
+    base, _ = spectral_transform(m, ZERO)
+    scaled, _ = spectral_transform(137.0 * m, ZERO)
     assert np.linalg.norm(base - scaled) <= 1e-12
 
 
 def test_quintic_diagonal_fixture_band():
     # recorded once for this specific spectrum: the smallest direction has
     # not finished climbing after five steps
-    out, _ = polar_quintic(np.diag([9.0, 4.0, 1.0, 0.01]))
+    out, _ = spectral_transform(np.diag([9.0, 4.0, 1.0, 0.01]), ZERO)
     sv = jacobi_svd(out).sigma
     assert sv[0] <= 1.11
     assert sv[-1] >= 0.46
@@ -109,35 +111,33 @@ def test_quintic_band_on_normalized_inputs():
     for _ in range(15):
         a = spectrum_matrix(rng, int(rng.integers(4, 30)), int(rng.integers(4, 25)),
                             float(10.0 ** rng.uniform(0.0, 2.0)))
-        sv = jacobi_svd(polar_quintic(a)[0]).sigma
+        sv = jacobi_svd(spectral_transform(a, ZERO)[0]).sigma
         assert sv[0] <= QUINTIC_SV_BAND[1]
         assert sv[-1] >= QUINTIC_SV_BAND[0]
 
 
-def test_quintic_iteration_override_and_wide_input():
+def test_quintic_iteration_override():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((4, 7))
-    out, diag = polar_quintic(m, iters=9)
+    _, diag = spectral_transform(m, ZERO, iters=9)
     assert diag.iterations_run == 9
-    out_t, _ = polar_quintic(m.T, iters=9)
-    assert np.linalg.norm(out - out_t.T) <= 1e-12
     with pytest.raises(DegenerateInputError):
-        polar_quintic(np.zeros((3, 3)))
+        spectral_transform(np.zeros((3, 3)), ZERO)
     with pytest.raises(PreconditionError):
-        polar_quintic(m, iters=0)
+        spectral_transform(m, ZERO, iters=0)
 
 
 # --- cubic polar ----------------------------------------------------------
 
 
 def test_cubic_identity():
-    out, diag = polar_cubic(np.eye(4))
+    out, diag = spectral_transform(np.eye(4), ZERO, zero_method="cubic")
     assert np.linalg.norm(out - np.eye(4)) <= 1e-12
     assert diag.scale_alpha > 0.0
 
 
 def test_cubic_positive_diagonal_to_identity():
-    out, _ = polar_cubic(np.diag([2.0, 1.0]))
+    out, _ = spectral_transform(np.diag([2.0, 1.0]), ZERO, zero_method="cubic")
     assert np.linalg.norm(out - np.eye(2)) <= 1e-8
 
 
@@ -146,29 +146,21 @@ def test_cubic_matches_oracle_polar():
     for _ in range(10):
         a = spectrum_matrix(rng, 6, 4, float(10.0 ** rng.uniform(0.0, 2.0)))
         tri = jacobi_svd(a)
-        out, diag = polar_cubic(a)
+        out, diag = spectral_transform(a, ZERO, zero_method="cubic")
         assert rel_err(out, tri.u @ tri.v.T) <= REL_TOL_POLAR_CUBIC
         assert len(diag.residual_per_iter) == diag.iterations_run
 
 
-def test_cubic_wide_input_transpose_convention():
-    rng = np.random.default_rng(4)
-    a = spectrum_matrix(rng, 4, 6, 10.0)
-    out, _ = polar_cubic(a)
-    out_t, _ = polar_cubic(a.T)
-    assert np.linalg.norm(out - out_t.T) <= 1e-10
-
-
 def test_cubic_rejects_rank_deficiency_and_zero():
     with pytest.raises(KernelDivergenceError, match="residual stuck") as info:
-        polar_cubic(np.ones((6, 4)))
+        spectral_transform(np.ones((6, 4)), ZERO, zero_method="cubic")
     diag = info.value.diagnostics
     assert diag.iterations_run == 40
     assert len(diag.residual_per_iter) == 40
     assert diag.residual_per_iter[-1] == 1.7320508075688772
     assert diag.scale_alpha == 24.0
     with pytest.raises(DegenerateInputError):
-        polar_cubic(np.zeros((4, 4)))
+        spectral_transform(np.zeros((4, 4)), ZERO, zero_method="cubic")
 
 
 # --- coupled square and quarter roots ---------------------------------------
@@ -320,16 +312,26 @@ def test_transform_positive_scale_homogeneity():
 
 
 def test_transform_wide_input_matches_transposed_tall():
+    # The kernels see the tall orientation only: on every route a wide
+    # input's output is the transpose of its tall transpose's, bit for bit,
+    # C-ordered, with the same diagnostics.
     rng = np.random.default_rng(12)
-    a = spectrum_matrix(rng, 4, 9, 15.0)
-    out, _ = spectral_transform(a, SpectralExponent.HALF)
-    out_t, _ = spectral_transform(a.T, SpectralExponent.HALF)
-    assert np.linalg.norm(out - out_t.T) <= 1e-9
+    inputs = (spectrum_matrix(rng, 9, 4, 15.0), spectrum_matrix(rng, 96, 16, 1e2))
+    for exponent, method, _, _ in _ROUTES:
+        for tall in inputs:
+            out, diag = spectral_transform(tall, exponent, zero_method=method)
+            wide, wide_diag = spectral_transform(tall.T, exponent, zero_method=method)
+            assert wide.tobytes() == np.ascontiguousarray(out.T).tobytes(), (exponent, method)
+            assert wide.flags.c_contiguous and out.flags.c_contiguous, (exponent, method)
+            assert wide_diag == diag, (exponent, method)
 
 
 def test_transform_input_validation():
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError, match="^matrix contains NaN or Inf entries$"):
         spectral_transform(np.array([[1.0, np.inf]]), SpectralExponent.HALF)
+    for exponent, method, _, _ in _ROUTES:  # numpy's own ValueError escaped here
+        with pytest.raises(MatrixFormatError, match="^cannot interpret input as a float matrix"):
+            spectral_transform([[1, 2], [3]], exponent, zero_method=method)
 
 
 def test_transform_failures_name_their_power():
@@ -357,8 +359,10 @@ _ROUTES = (
 )
 
 
-@pytest.mark.parametrize("exponent,method,steps,tol", _ROUTES,
-                         ids=("one", "half", "quarter", "quintic", "cubic"))
+_ROUTE_IDS = ("one", "half", "quarter", "quintic", "cubic")
+
+
+@pytest.mark.parametrize("exponent,method,steps,tol", _ROUTES, ids=_ROUTE_IDS)
 def test_route_table_is_what_transform_and_its_sidecar_use(tmp_path, exponent, method, steps, tol):
     chosen = kernels.route(exponent, method)
     assert (chosen.steps, chosen.rel_tol) == (steps, tol)
@@ -378,6 +382,23 @@ def test_route_table_is_what_transform_and_its_sidecar_use(tmp_path, exponent, m
         assert kernels.route(exponent, "householder") is chosen
         ignored, _ = spectral_transform(a, exponent, zero_method="householder")
         assert ignored.tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("exponent,method", [route[:2] for route in _ROUTES], ids=_ROUTE_IDS)
+def test_a_call_scans_its_input_once(monkeypatch, exponent, method):
+    # spectral_transform validates; the route's kernel repeats no check.
+    a = spectrum_matrix(np.random.default_rng(5), 12, 8, 10.0)
+    isfinite, scans = np.isfinite, []
+
+    def spy(x, *args, **kwargs):
+        scans.append(x)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", spy)
+    for o in (a, a.T):
+        scans.clear()
+        spectral_transform(o, exponent, zero_method=method)
+        assert sum(x is o for x in scans) == 1
 
 
 def test_transform_names_an_overflowed_gram():
@@ -498,14 +519,14 @@ def test_coupled_sqrt_normalizes_past_the_float_range():
 
 def test_quintic_normalizes_past_the_float_range():
     # The exact polar factor is I; the quintic lands in its band around it.
-    out, diag = polar_quintic(np.diag([1e300, 1.0]), iters=600)
+    out, diag = spectral_transform(np.diag([1e300, 1.0]), ZERO, iters=600)
     assert diag.scale_alpha == 1e300
     assert out[0, 1] == 0.0 and out[1, 0] == 0.0
     lo, hi = QUINTIC_SV_BAND
     assert lo < out[0, 0] < hi and lo < out[1, 1] < hi
     # At the default budget it runs the iterates of diag(1, 1e-300) exactly.
-    got, _ = polar_quintic(np.diag([1e300, 1.0]))
-    want, _ = polar_quintic(np.diag([1.0, 1e-300]))
+    got, _ = spectral_transform(np.diag([1e300, 1.0]), ZERO)
+    want, _ = spectral_transform(np.diag([1.0, 1e-300]), ZERO)
     assert np.array_equal(got, want)
 
 
@@ -766,7 +787,7 @@ def test_every_exit_of_the_root_pass_joins_its_helper(lane_floor):
                        SpectralExponent.HALF)
     exits.append((len(folded), root_threads()))
     with pytest.raises(KernelDivergenceError, match="residual stuck"):
-        polar_cubic(np.ones((6, 4)))
+        spectral_transform(np.ones((6, 4)), ZERO, zero_method="cubic")
     exits.append((len(folded), root_threads()))
     rng = np.random.default_rng(0)
     rank64 = rng.standard_normal((128, 64)) @ rng.standard_normal((64, 128)) / 64

@@ -96,7 +96,6 @@ def test_first_moment_update_matches_hand_formula():
     new = update_moments(state, g, hp, need_v=True)
     assert np.array_equal(new.m, (1.0 - hp.beta1) * g)
     assert np.array_equal(new.v, (1.0 - hp.beta2) * (g * g))
-    assert new.t == 1
 
 
 def test_moments_decay_geometrically_on_zero_gradients():
@@ -110,13 +109,12 @@ def test_moments_decay_geometrically_on_zero_gradients():
         state = update_moments(state, zero, hp, True)
     assert np.allclose(state.m, hp.beta1 ** 5 * m1, rtol=1e-12)
     assert np.allclose(state.v, hp.beta2 ** 5 * v1, rtol=1e-12)
-    assert state.t == 6
 
 
 def test_constant_gradient_is_a_fixed_point_of_the_averages():
     g = np.full((2, 2), 3.0)
     hp = HyperParams(lr_mat=0.1)
-    state = OptimizerState(m=g.copy(), v=(g * g).copy(), t=7)
+    state = OptimizerState(m=g.copy(), v=(g * g).copy())
     new = update_moments(state, g, hp, True)
     assert np.allclose(new.m, g, rtol=1e-15)
     assert np.allclose(new.v, g * g, rtol=1e-15)
@@ -129,7 +127,6 @@ def test_update_moments_is_pure():
     m_before = state.m.copy()
     new = update_moments(state, g, hp, True)
     assert np.array_equal(state.m, m_before)
-    assert state.t == 0
     assert new.m is not state.m
 
 
@@ -171,14 +168,14 @@ def test_rms_input_first_step_magnitude_is_bit_exact():
 
 def test_rms_input_with_zero_variance_divides_by_eps():
     hp = HyperParams(lr_mat=0.1, eps=1e-8)
-    state = OptimizerState(m=np.ones((2, 2)), v=np.zeros((2, 2)), t=1)
+    state = OptimizerState(m=np.ones((2, 2)), v=np.zeros((2, 2)))
     out = make_input(state, InputKind.RMS_NORMALIZED, hp)
     assert np.array_equal(out, np.full((2, 2), 1e8))
 
 
 def test_rms_input_requires_tracked_second_moments():
     hp = HyperParams(lr_mat=0.1)
-    state = OptimizerState(m=np.ones((2, 2)), v=None, t=1)
+    state = OptimizerState(m=np.ones((2, 2)), v=None)
     with pytest.raises(RoutingError):
         make_input(state, InputKind.RMS_NORMALIZED, hp)
 
@@ -287,7 +284,6 @@ def test_zero_raw_input_short_circuits_spectral_work():
                                                kind, hp)
         assert np.array_equal(new_w, w), token
         assert diag is None, token
-        assert state.t == 1
 
 
 def test_spectral_step_reports_kernel_diagnostics():
@@ -344,7 +340,7 @@ def test_matrix_step_does_not_mutate_inputs():
     step_matrix_param(w, g, state, parse_optimizer("adams"), HyperParams(lr_mat=0.1))
     assert np.array_equal(w, w0)
     assert np.array_equal(g, g0)
-    assert not state.m.any() and state.t == 0
+    assert not state.m.any()
 
 
 # --- vector steps -----------------------------------------------------------
@@ -359,7 +355,7 @@ def test_vector_step_first_update_matches_hand_formula():
     m = (1.0 - hp.beta1) * g
     v = (1.0 - hp.beta2) * (g * g)
     assert np.array_equal(new_w, w - hp.lr_vec * (m / (np.sqrt(v) + hp.eps)))
-    assert state.t == 1
+    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
 
 
 def test_vector_step_zero_gradient_leaves_parameter_alone():
