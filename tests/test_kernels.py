@@ -151,6 +151,14 @@ def test_cubic_matches_oracle_polar():
         assert len(diag.residual_per_iter) == diag.iterations_run
 
 
+def test_cubic_wide_input_transpose_convention():
+    rng = np.random.default_rng(4)
+    a = spectrum_matrix(rng, 4, 6, 10.0)
+    out, _ = spectral_transform(a, ZERO, zero_method="cubic")
+    out_t, _ = spectral_transform(a.T, ZERO, zero_method="cubic")
+    assert np.linalg.norm(out - out_t.T) <= 1e-10
+
+
 def test_cubic_rejects_rank_deficiency_and_zero():
     with pytest.raises(KernelDivergenceError, match="residual stuck") as info:
         spectral_transform(np.ones((6, 4)), ZERO, zero_method="cubic")
